@@ -24,8 +24,6 @@ from .ppip import Ppip, birkhoff_roundtrip, check_axioms, induced_ppip
 from .product import build_ppip, oracle_from_set
 from .semilattice import Semilattice
 
-DEFAULT_SEED = 20260822
-
 
 # -- input loading -------------------------------------------------------
 
@@ -310,8 +308,6 @@ def _parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized auxiliary checks (fixed default)")
         return p
 
     p = add("validate", _cmd_validate, "check a poset for semilattice/modular/median status")
@@ -336,7 +332,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("recognize", _cmd_recognize, "does an implicational system describe a modular semilattice")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("optimal-base", _cmd_optimal_base, "size-optimal base of a modular closure system")
     p.add_argument("--input", required=True)

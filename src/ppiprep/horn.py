@@ -16,8 +16,9 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import BudgetError, InputError, NotModularError
+from .poset import Poset
 from .ppip import Ppip, check_regularity, check_weak_triangle, induced_ppip, subspace_closure
-from .semilattice import Semilattice
+from .semilattice import Semilattice, induced_relations
 
 # Incremented whenever the closed family of a system is materialized.
 # Operations advertised as closure-driven (closure, recognition) must leave
@@ -159,13 +160,6 @@ class ImplicationalSystem:
         m = self._close_mask(self._mask(xs))
         return ClosureResult(None if m is None else self._unmask(m))
 
-    def is_closed(self, xs: Iterable) -> bool:
-        s = frozenset(xs)
-        for a, b in self.implications:
-            if a <= s and not (b and b <= s):
-                return False
-        return True
-
     # -- the closed family ----------------------------------------------
 
     def closed_sets(self, budget: int = DEFAULT_BUDGET) -> list[frozenset]:
@@ -218,10 +212,20 @@ class ImplicationalSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "ImplicationalSystem":
-        if "ground" not in data or "implications" not in data:
+        if not isinstance(data, dict) or "ground" not in data or "implications" not in data:
             raise InputError("implication JSON needs 'ground' and 'implications' keys")
-        imps = [(imp.get("premise", []), imp.get("conclusion", [])) for imp in data["implications"]]
-        return cls(data["ground"], imps)
+        implications = data["implications"]
+        if not isinstance(implications, list) or not all(isinstance(imp, dict) for imp in implications):
+            raise InputError("'implications' must be a list of objects")
+
+        def names(key: str, xs):
+            if not isinstance(xs, list) or any(isinstance(x, (list, dict)) for x in xs):
+                raise InputError(f"'{key}' must be a list of element names, got {xs!r}")
+            return xs
+
+        imps = [(names("premise", imp.get("premise", [])), names("conclusion", imp.get("conclusion", [])))
+                for imp in implications]
+        return cls(names("ground", data["ground"]), imps)
 
     def to_text(self) -> str:
         lines = []
@@ -242,7 +246,7 @@ class ImplicationalSystem:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "->" not in line:
+            if line.count("->") != 1:
                 raise InputError(f"line {lineno}: expected 'premise -> conclusion', got {raw!r}")
             lhs, rhs = line.split("->", 1)
             prem = lhs.split()
@@ -258,14 +262,6 @@ def _family_semilattice(sigma: ImplicationalSystem, sets: list[frozenset]) -> Se
     ids = [tuple(sorted(s, key=lambda x: sigma._index[x])) for s in sets]
     rel = [(s, t) for s in ids for t in ids if s != t and set(s) < set(t)]
     return Semilattice(ids, rel)
-
-
-def closure(sigma: ImplicationalSystem, xs: Iterable) -> ClosureResult:
-    return sigma.closure(xs)
-
-
-def family(sigma: ImplicationalSystem, budget: int = DEFAULT_BUDGET) -> Semilattice:
-    return sigma.family(budget)
 
 
 # -- irreducible structure ------------------------------------------------
@@ -323,28 +319,20 @@ def irreducible_ppip(sigma: ImplicationalSystem) -> Ppip:
 
     ids = [sigma._tuple(m) for m in irr]
     ids.sort(key=lambda t: (len(t), tuple(idx[x] for x in t)))
-    masks = {t: sigma._mask(t) for t in ids}
-    rel = [(s, t) for s in ids for t in ids
-           if s != t and masks[s] & ~masks[t] == 0]
+    masks = [sigma._mask(t) for t in ids]
+    poset = Poset(ids, [(s, t) for s, ms in zip(ids, masks) for t, mt in zip(ids, masks)
+                        if s != t and ms & ~mt == 0])
 
-    pairjoin: dict[tuple, int | None] = {}
-    for s, t in combinations(ids, 2):
-        pairjoin[(s, t)] = pairjoin[(t, s)] = sigma._close_mask(masks[s] | masks[t])
-
-    inconsistent = [frozenset((s, t)) for s, t in combinations(ids, 2)
-                    if pairjoin[(s, t)] is None]
-    collinear = []
-    for s, t, u in combinations(ids, 3):
-        if (masks[s] & ~masks[t] == 0 or masks[t] & ~masks[s] == 0 or
-                masks[s] & ~masks[u] == 0 or masks[u] & ~masks[s] == 0 or
-                masks[t] & ~masks[u] == 0 or masks[u] & ~masks[t] == 0):
-            continue
-        j = pairjoin[(s, t)]
-        if j is not None and pairjoin[(t, u)] == j and pairjoin[(s, u)] == j:
-            collinear.append(frozenset((s, t, u)))
-
-    from .poset import Poset
-    return Ppip(Poset(ids, rel), inconsistent, collinear)
+    # closure masks interned to integer keys; -1 marks a nonexistent join
+    keys: dict[int, int] = {}
+    join = [[-1] * len(ids) for _ in ids]
+    for a, b in combinations(range(len(ids)), 2):
+        m = sigma._close_mask(masks[a] | masks[b])
+        if m is not None:
+            join[a][b] = join[b][a] = keys.setdefault(m, len(keys))
+    inconsistent, collinear = induced_relations(poset.leq_matrix, join)
+    return Ppip(poset, [frozenset(ids[i] for i in pair) for pair in inconsistent],
+                [frozenset(ids[i] for i in trip) for trip in collinear])
 
 
 # -- recognition ----------------------------------------------------------
@@ -392,16 +380,12 @@ def recognize_modular_semilattice(sigma: ImplicationalSystem) -> tuple[bool, dic
                                "premise": tuple(sorted(a, key=_ground_key)), "element": e}
 
     ppip = irreducible_ppip(pruned)
-    witness = check_regularity(ppip)
-    if witness is not None:
-        witness = dict(witness)
-        witness["condition"] = witness.pop("axiom")
-        return False, witness
-    witness = check_weak_triangle(ppip)
-    if witness is not None:
-        witness = dict(witness)
-        witness["condition"] = witness.pop("axiom")
-        return False, witness
+    for check in (check_regularity, check_weak_triangle):
+        witness = check(ppip)
+        if witness is not None:
+            witness = dict(witness)
+            witness["condition"] = witness.pop("axiom")
+            return False, witness
 
     witness = _check_implication_generation(pruned, ppip)
     if witness is not None:
@@ -447,8 +431,29 @@ def _check_implication_generation(sigma: ImplicationalSystem, ppip: Ppip) -> dic
 
 # -- quasiclosed and pseudoclosed sets ------------------------------------
 
-def _equiv(c1: int | None, c2: int | None) -> bool:
-    return c1 == c2
+def _grow(close, x: int) -> int:
+    """One quasiclosure step on bitmasks: ``x`` together with the closures
+    of its subsets that lie in another closure class than ``x``.  ``close``
+    maps a mask to its closure mask, or to ``None`` when there is none."""
+    cx = close(x)
+    grown = x
+    y = x
+    while True:
+        cy = close(y)
+        if cy != cx and cy is not None:
+            grown |= cy
+        if y == 0:
+            return grown
+        y = (y - 1) & x
+
+
+def _quasiclose(close, x: int) -> int:
+    """Smallest quasiclosed superset of the mask ``x``."""
+    if x.bit_count() > 20:
+        raise BudgetError("quasiclosure input larger than 20 elements")
+    while (grown := _grow(close, x)) != x:
+        x = grown
+    return x
 
 
 def pseudoclosed_sets(sigma: ImplicationalSystem, budget: int = DEFAULT_BUDGET) -> list[frozenset]:
@@ -466,23 +471,9 @@ def pseudoclosed_sets(sigma: ImplicationalSystem, budget: int = DEFAULT_BUDGET) 
     if 3 ** n > budget:
         raise BudgetError(f"pseudoclosed enumeration needs 3^{n} subset tests, over budget {budget}")
     memo = [sigma._close_mask(x) for x in range(1 << n)]
-
-    quasi = []
-    for x in range(1 << n):
-        cx = memo[x]
-        ok = True
-        y = x
-        while True:
-            cy = memo[y]
-            if not _equiv(cy, cx) and (cy is None or cy & ~x):
-                ok = False
-                break
-            if y == 0:
-                break
-            y = (y - 1) & x
-        quasi.append(ok)
-
-    proper = [x for x in range(1 << n) if quasi[x] and memo[x] != x]
+    # a subset without closure forces x to have none either, so growing
+    # by the closures that exist decides quasiclosedness
+    proper = [x for x in range(1 << n) if memo[x] != x and _grow(memo.__getitem__, x) == x]
     by_class: dict = {}
     for x in proper:
         by_class.setdefault(memo[x], []).append(x)
@@ -508,7 +499,7 @@ def _crosscheck_structural(sigma: ImplicationalSystem, memo: list, brute_masks: 
     ok, _ = L.is_modular_semilattice()
     if not ok:
         return
-    mapping = _simple_bijection(sigma, L)
+    mapping, _ = _simple_bijection(sigma, L)
     if mapping is None:
         return
     inverse = {t: e for e, t in mapping.items()}
@@ -523,25 +514,7 @@ def _crosscheck_structural(sigma: ImplicationalSystem, memo: list, brute_masks: 
 def quasiclosure(sigma: ImplicationalSystem, xs: Iterable) -> frozenset:
     """Smallest quasiclosed superset, by growing with closures of subsets
     that lie in a strictly smaller closure class."""
-    start = frozenset(xs)
-    if len(start) > 20:
-        raise BudgetError("quasiclosure input larger than 20 elements")
-    cur = sigma._mask(start)
-    n = len(sigma.ground)
-    while True:
-        ccur = sigma._close_mask(cur)
-        grown = cur
-        y = cur
-        while True:
-            cy = sigma._close_mask(y)
-            if not _equiv(cy, ccur) and cy is not None:
-                grown |= cy
-            if y == 0:
-                break
-            y = (y - 1) & cur
-        if grown == cur:
-            return sigma._unmask(cur)
-        cur = grown
+    return sigma._unmask(_quasiclose(sigma._close_mask, sigma._mask(xs)))
 
 
 # -- optimal bases --------------------------------------------------------
@@ -587,6 +560,17 @@ def optimal_base(L: Semilattice) -> ImplicationalSystem:
     inconsistent pair of irreducibles implies the empty conclusion.  The
     result is checked to regenerate the family exactly.
     """
+    base = _build_optimal_base(L)
+    _, phi = _phi_map(L)
+    produced = set(base.closed_sets())
+    expected = {phi[l] for l in L.elements}
+    if produced != expected:
+        diff = sorted(map(str, produced.symmetric_difference(expected)))[:3]
+        raise AssertionError(f"optimal base does not regenerate the family: {diff}")
+    return base
+
+
+def _build_optimal_base(L: Semilattice) -> ImplicationalSystem:
     ok, witness = L.is_modular_semilattice()
     if not ok:
         raise NotModularError(f"not a modular semilattice: {witness['condition']} fails", witness=witness)
@@ -627,31 +611,28 @@ def optimal_base(L: Semilattice) -> ImplicationalSystem:
     for p, q in ppip.minimal_inconsistent_pairs():
         imps.append(({p, q}, frozenset()))
 
-    base = ImplicationalSystem(irr, imps)
-    produced = set(base.closed_sets())
-    expected = {phi[l] for l in L.elements}
-    if produced != expected:
-        diff = sorted(map(str, produced.symmetric_difference(expected)))[:3]
-        raise AssertionError(f"optimal base does not regenerate the family: {diff}")
-    return base
+    return ImplicationalSystem(irr, imps)
 
 
-def _simple_bijection(sigma: ImplicationalSystem, L: Semilattice) -> dict | None:
+def _simple_bijection(sigma: ImplicationalSystem, L: Semilattice) -> tuple[dict | None, str | None]:
     """Map e -> c({e}) as a family element id, when it is a bijection onto
-    the irreducibles; ``None`` otherwise."""
-    irr = set(L.join_irreducibles())
-    mapping = {}
-    seen = set()
+    the irreducibles; otherwise ``None`` and the reason it is not."""
+    closures = {}
     for e in sigma.ground:
-        r = sigma.closure([e])
-        if not r.exists:
-            return None
-        t = tuple(sorted(r.value, key=lambda x: sigma._index[x]))
-        if t in seen or t not in irr:
-            return None
-        seen.add(t)
-        mapping[e] = t
-    return mapping
+        m = sigma._close_mask(1 << sigma._index[e])
+        if m is None:
+            return None, f"closure of {{{e!r}}} does not exist"
+        closures[e] = sigma._tuple(m)
+    first = {}
+    for e, t in closures.items():
+        if t in first:
+            return None, f"{first[t]!r} and {e!r} share a closure"
+        first[t] = e
+    irr = set(L.join_irreducibles())
+    for e, t in closures.items():
+        if t not in irr:
+            return None, f"closure of {{{e!r}}} is not irreducible"
+    return closures, None
 
 
 def _structural_pseudoclosed(L: Semilattice) -> set[frozenset]:
@@ -666,34 +647,19 @@ def _structural_pseudoclosed(L: Semilattice) -> set[frozenset]:
     for y, x, mids in _mn_intervals(L):
         for z1, z2 in combinations(mids, 2):
             out.add(phi[z1] | phi[z2])
+    # the family as a closure operator on bitmasks of its irreducibles
+    bit = {p: 1 << i for i, p in enumerate(irr)}
+    phimask = {x: sum(bit[p] for p in phi[x]) for x in L.elements}
+
+    def close(m: int) -> int | None:
+        top = L.join_all(p for p in irr if m & bit[p])
+        return None if top is None else phimask[top]
+
     ppip = induced_ppip(L)
     for p, q in ppip.minimal_inconsistent_pairs():
-        out.add(_family_quasiclosure(L, irr, phi, set(phi[p] | phi[q])))
+        m = _quasiclose(close, phimask[p] | phimask[q])
+        out.add(frozenset(r for r in irr if m & bit[r]))
     return out
-
-
-def _family_quasiclosure(L: Semilattice, irr: list, phi: dict, seed: set) -> frozenset:
-    """Quasiclosure inside the family viewed as a closure system on its
-    irreducibles: grow by closures of subsets from strictly smaller classes."""
-    if len(seed) > 20:
-        raise BudgetError("quasiclosure input larger than 20 elements")
-
-    def close(s: frozenset) -> frozenset | None:
-        top = L.join_all(s)
-        return None if top is None else phi[top]
-
-    cur = frozenset(seed)
-    while True:
-        ccur = close(cur)
-        grown = set(cur)
-        for k in range(len(cur) + 1):
-            for sub in combinations(sorted(cur, key=str), k):
-                csub = close(frozenset(sub))
-                if csub is not None and csub != ccur:
-                    grown |= csub
-        if frozenset(grown) == cur:
-            return cur
-        cur = frozenset(grown)
 
 
 def optimal_base_from_implications(sigma: ImplicationalSystem,
@@ -706,28 +672,17 @@ def optimal_base_from_implications(sigma: ImplicationalSystem,
     family is computed there, and the labels are pulled back.
     """
     L = sigma.family(budget)
-    mapping = _simple_bijection(sigma, L)
+    mapping, reason = _simple_bijection(sigma, L)
     if mapping is None:
-        for e in sigma.ground:
-            r = sigma.closure([e])
-            if not r.exists:
-                raise InputError(f"system is not simple: closure of {{{e!r}}} does not exist")
-        values = {}
-        for e in sigma.ground:
-            t = tuple(sorted(sigma.closure([e]).value, key=lambda x: sigma._index[x]))
-            if t in values:
-                raise InputError(f"system is not simple: {values[t]!r} and {e!r} share a closure")
-            values[t] = e
-        bad = [e for e, t in ((e2, tuple(sorted(sigma.closure([e2]).value, key=lambda x: sigma._index[x])))
-                              for e2 in sigma.ground) if t not in set(L.join_irreducibles())]
-        raise InputError(f"system is not simple: closure of {{{bad[0]!r}}} is not irreducible")
+        raise InputError(f"system is not simple: {reason}")
     ok, witness = recognize_modular_semilattice(sigma)
     if not ok:
         raise NotModularError(f"family is not a modular semilattice: {witness['condition']} fails",
                               witness=witness)
+    # optimal_base checks that the base regenerates L; the relabelling is a
+    # bijection that maps the closed sets of the base onto those of sigma,
+    # so the relabelled base needs no second check
     base = optimal_base(L)
     inverse = {t: e for e, t in mapping.items()}
     imps = [([inverse[t] for t in a], [inverse[t] for t in b]) for a, b in base.implications]
-    out = ImplicationalSystem(sigma.ground, imps)
-    assert set(out.closed_sets(budget)) == set(sigma.closed_sets(budget))
-    return out
+    return ImplicationalSystem(sigma.ground, imps)

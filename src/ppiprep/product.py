@@ -233,15 +233,11 @@ def build_ppip(oracle: MembershipOracle) -> Ppip:
                 if (below(sa, x) and below(sb, y)) or (below(sa, y) and below(sb, x)):
                     inconsistent.add(frozenset((x, y)))
 
-    def coll_in(proj: Semilattice, alpha, beta, gamma) -> bool:
-        if alpha == beta or beta == gamma or alpha == gamma:
-            return False
-        if (proj.leq(alpha, beta) or proj.leq(beta, alpha) or
-                proj.leq(beta, gamma) or proj.leq(gamma, beta) or
-                proj.leq(alpha, gamma) or proj.leq(gamma, alpha)):
-            return False
-        j1 = proj.join(alpha, beta)
-        return j1 is not None and proj.join(beta, gamma) == j1 and proj.join(alpha, gamma) == j1
+    # collinear triples of each projection, among the values the points take there
+    lines = {}
+    for i, proj in projections.items():
+        vals = list({p.vector[i] for p in points})
+        lines[i] = {frozenset(vals[t] for t in trip) for trip in proj._induced_on(vals)[1]}
 
     collinear = []
     for pa, pb, pc in combinations(points, 3):
@@ -250,10 +246,9 @@ def build_ppip(oracle: MembershipOracle) -> Ppip:
                 frozenset((vb, vc)) in inconsistent or
                 frozenset((va, vc)) in inconsistent):
             continue
-        (i, a), (j, b), (k, c) = pa.labels[0], pb.labels[0], pc.labels[0]
-        if (coll_in(projections[i], a, vb[i], vc[i]) and
-                coll_in(projections[j], va[j], b, vc[j]) and
-                coll_in(projections[k], va[k], vb[k], c)):
+        # collinear in the projection of each point's defining coordinate
+        if all(frozenset((va[i], vb[i], vc[i])) in lines[i]
+               for i in (pa.labels[0][0], pb.labels[0][0], pc.labels[0][0])):
             collinear.append(frozenset((va, vb, vc)))
 
     poset = Poset(ids, rel)

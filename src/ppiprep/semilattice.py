@@ -218,33 +218,44 @@ class Semilattice(Poset):
 
     # -- induced point-line relations ------------------------------------
 
+    def _induced_on(self, points: list) -> tuple[list, list]:
+        """``induced_relations`` among ``points``, by positions in that list."""
+        idx = [self.index(p) for p in points]
+        sub = np.ix_(idx, idx)
+        return induced_relations(self.leq_matrix[sub], self._join_table[sub])
+
     def induced_inconsistency(self) -> list[frozenset]:
         """Pairs of irreducibles whose join does not exist, canonical order."""
         irr = self.join_irreducibles()
-        out = []
-        for i, p in enumerate(irr):
-            for q in irr[i + 1:]:
-                if not self.has_join(p, q):
-                    out.append(frozenset((p, q)))
-        return out
+        return [frozenset(irr[i] for i in pair) for pair in self._induced_on(irr)[0]]
 
     def induced_collinearity(self) -> list[frozenset]:
         """Triples of pairwise-incomparable irreducibles with equal pairwise joins."""
         irr = self.join_irreducibles()
-        k = len(irr)
-        out = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.comparable(irr[i], irr[j]):
-                    continue
-                jij = self._join_table[self.index(irr[i]), self.index(irr[j])]
-                if jij < 0:
-                    continue
-                for m in range(j + 1, k):
-                    if self.comparable(irr[i], irr[m]) or self.comparable(irr[j], irr[m]):
-                        continue
-                    jim = self._join_table[self.index(irr[i]), self.index(irr[m])]
-                    jjm = self._join_table[self.index(irr[j]), self.index(irr[m])]
-                    if jim == jij and jjm == jij and jim >= 0:
-                        out.append(frozenset((irr[i], irr[j], irr[m])))
-        return out
+        return [frozenset(irr[i] for i in trip) for trip in self._induced_on(irr)[1]]
+
+
+def induced_relations(leq: np.ndarray, join) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """Inconsistent pairs and collinear triples of k points, as index tuples
+    in lexicographic order.
+
+    ``leq`` is a k x k boolean array, ``leq[i, j]`` saying point i lies below
+    point j; ``join[i][j]`` is an integer key naming the join of points i and
+    j, negative when that join does not exist; the diagonal is not read.  A pair is inconsistent when its join
+    does not exist; a triple is collinear when its points are pairwise
+    incomparable and its three pairwise joins exist and are equal.
+    """
+    comparable = (leq | leq.T).tolist()
+    J = np.asarray(join).tolist()
+    inconsistent = []
+    collinear = []
+    for i, (Ji, ci) in enumerate(zip(J, comparable)):
+        for j in range(i + 1, len(J)):
+            key = Ji[j]
+            if key < 0:
+                inconsistent.append((i, j))
+            elif not ci[j]:
+                Jj, cj = J[j], comparable[j]
+                collinear.extend((i, j, m) for m in range(j + 1, len(J))
+                                 if Ji[m] == key and Jj[m] == key and not (ci[m] or cj[m]))
+    return inconsistent, collinear

@@ -191,12 +191,6 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
-def test_recognition_unaffected_by_budget(capsys):
-    # recognition never enumerates the closed family
-    code, out, _ = run(capsys, "recognize", "--input", SIGMA, "--budget", "2")
-    assert code == 0 and "yes" in out
-
-
 def test_non_alternating_form_names_invariant(tmp_path, capsys):
     path = tmp_path / "bad_form.json"
     path.write_text(json.dumps({"p": 2, "entries": [[1, 0], [0, 1]]}))
@@ -217,6 +211,15 @@ def test_unknown_subcommand_rejected(capsys):
     assert exc.value.code == 2
 
 
-def test_seed_flag_accepted_everywhere(capsys):
-    code, out, _ = run(capsys, "recognize", "--input", SIGMA, "--seed", "7")
-    assert code == 0 and "yes" in out
+@pytest.mark.parametrize("name, text", [
+    ("chained.txt", "a -> b -> c\n"),
+    ("string_ground.json", json.dumps({"ground": "abc", "implications": []})),
+    ("scalar_premise.json", json.dumps({"ground": ["a", "b"],
+                                        "implications": [{"premise": 5, "conclusion": ["b"]}]})),
+], ids=["chained-arrows", "string-ground", "scalar-premise"])
+def test_malformed_implications_are_input_errors(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "closure", "--input", str(path), "--set", "a")
+    assert code == 2
+    assert out == "" and err.startswith("input error:")

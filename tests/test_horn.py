@@ -8,7 +8,6 @@ import ppiprep.horn as horn
 from ppiprep.errors import BudgetError, InputError
 from ppiprep.horn import (
     ImplicationalSystem,
-    family,
     irreducible_ppip,
     optimal_base,
     optimal_base_from_implications,
@@ -124,7 +123,7 @@ def test_closure_idempotent_and_extensive():
 # -- family and induced structure ----------------------------------------
 
 def test_family_of_nine_system():
-    L = family(nine_system())
+    L = nine_system().family()
     assert len(L) == 21
     assert L.is_modular_semilattice()[0]
 
@@ -134,13 +133,36 @@ def test_family_budget():
         nine_system().closed_sets(budget=16)
 
 
+def line_system(points: str) -> ImplicationalSystem:
+    """One line: any two of its points imply all the others."""
+    return ImplicationalSystem(list(points), [(pair, [x for x in points if x not in pair])
+                                              for pair in itertools.combinations(points, 2)])
+
+
+def fano_system() -> ImplicationalSystem:
+    """The subspaces of the projective plane over GF(2), on its 7 points."""
+    lines = ["124", "235", "346", "457", "561", "672", "713"]
+    return ImplicationalSystem(list("1234567"), [([a, b], [c]) for line in lines
+                                                 for a, b, c in itertools.permutations(line)])
+
+
+def random_system(seed: int) -> ImplicationalSystem:
+    rng = random.Random(seed)
+    ground = [str(i) for i in range(rng.randint(2, 7))]
+    imps = [(rng.sample(ground, rng.randint(1, min(3, len(ground)))), rng.sample(ground, rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 8))]
+    return ImplicationalSystem(ground, imps)
+
+
 def test_irreducible_ppip_matches_family_route():
-    sp = nine_system()
-    direct = irreducible_ppip(sp)
-    via_family = induced_ppip(family(sp))
-    assert direct == via_family
-    assert len(direct.poset) == 8
-    assert check_axioms(direct)[0]
+    cases = [(nine_system(), 8), (line_system("abcd"), 4), (line_system("abcdef"), 6), (fano_system(), 7)]
+    cases += [(random_system(seed), None) for seed in range(20)]
+    for sp, points in cases:
+        direct = irreducible_ppip(sp)
+        assert direct == induced_ppip(sp.family()), sp.to_text()
+        if points is not None:
+            assert len(direct.poset) == points
+            assert check_axioms(direct)[0]
 
 
 # -- recognition ---------------------------------------------------------
@@ -159,7 +181,7 @@ def test_recognize_never_enumerates_family():
 
 def test_family_call_bumps_instrumentation():
     before = horn.FAMILY_ENUMERATIONS
-    family(nine_system())
+    nine_system().family()
     assert horn.FAMILY_ENUMERATIONS == before + 1
 
 
@@ -228,7 +250,7 @@ def test_quasiclosure_spots():
 # -- optimal bases -------------------------------------------------------
 
 def test_optimal_base_of_nine_family():
-    base = optimal_base(family(nine_system()))
+    base = optimal_base(nine_system().family())
     assert base.size() == 24
     assert len(base.implications) == 9
 
@@ -260,6 +282,26 @@ def test_optimal_base_family_equality():
     want = {frozenset(s) for s in sp.closed_sets()}
     got = {frozenset(s) for s in opt.closed_sets()}
     assert got == want
+
+
+def test_optimal_base_from_implications_enumerates_twice():
+    before = horn.FAMILY_ENUMERATIONS
+    optimal_base_from_implications(nine_system())
+    assert horn.FAMILY_ENUMERATIONS == before + 2
+
+
+def test_regeneration_check_catches_a_dropped_implication(monkeypatch):
+    build = horn._build_optimal_base
+
+    def lossy(L):
+        base = build(L)
+        return ImplicationalSystem(base.ground, base.implications[1:])
+
+    monkeypatch.setattr(horn, "_build_optimal_base", lossy)
+    with pytest.raises(AssertionError, match="optimal base does not regenerate the family"):
+        optimal_base_from_implications(nine_system())
+    with pytest.raises(AssertionError, match="optimal base does not regenerate the family"):
+        optimal_base(nine_system().family())
 
 
 def test_optimal_base_budget():

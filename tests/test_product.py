@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ppiprep.errors import InputError, NotModularError
+from ppiprep.gflin import subspace_lattice
 from ppiprep.ppip import birkhoff_roundtrip, consistent_subspaces, induced_ppip
 from ppiprep.semilattice import Semilattice
 from ppiprep.product import (
@@ -182,8 +183,8 @@ def test_random_closed_sets_match_induced_structure():
 
 def test_mixed_factor_products():
     rng = random.Random(7)
-    pool = [make_s2(), make_s3(), make_m3(), make_c3()]
-    for _ in range(15):
+    pool = [make_s2(), make_s3(), make_m3(), make_c3(), subspace_lattice(2, 3), subspace_lattice(2, 5)]
+    for _ in range(40):
         lats = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         universe = product_universe(lats)
         if len(universe) > 2000:
