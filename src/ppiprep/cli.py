@@ -83,8 +83,7 @@ def _relabel_ppip(ppip: Ppip, label_fn) -> Ppip:
     """Copy with elements renamed through ``label_fn`` so points serialize
     as plain strings.  Colliding labels get a ``#k`` suffix."""
     labels = _unique_labels(ppip.poset.elements, label_fn)
-    poset = Poset([labels[e] for e in ppip.poset.elements],
-                  [(labels[a], labels[b]) for a, b in ppip.poset.covers])
+    poset = Poset([labels[e] for e in ppip.poset.elements], ppip.poset.leq_matrix)
     inc = [frozenset(labels[x] for x in pr) for pr in ppip.inconsistent]
     coll = [frozenset(labels[x] for x in tr) for tr in ppip.collinear]
     return Ppip(poset, inc, coll)

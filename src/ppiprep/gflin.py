@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 
+import numpy as np
+
 from .errors import BudgetError, InputError
 from .poset import Poset
 from .ppip import Ppip, check_axioms, is_consistent_subspace
 from .product import MembershipOracle, build_ppip, oracle_from_minimizers
-from .semilattice import Semilattice
+from .semilattice import Semilattice, induced_relations
 
 
 def _check_prime(p) -> int:
@@ -353,15 +355,16 @@ def polar_space_ppip(B, p: int) -> Ppip:
     reps = sorted(basis[0] for basis in _echelon_bases(1, d, p))
     points = [v for v in reps if form(v, v) == 0]
 
-    inconsistent = [frozenset((u, v)) for u, v in combinations(points, 2) if form(u, v) != 0]
-    collinear = []
-    for u, v, w in combinations(points, 3):
-        if form(u, v) or form(v, w) or form(u, w):
-            continue
-        if _rank([u, v, w], d, p) == 2:
-            collinear.append(frozenset((u, v, w)))
-
-    ppip = Ppip(Poset(points, ()), inconsistent, collinear)
+    # an orthogonal pair joins to the plane it spans, interned by its rref
+    keys: dict = {}
+    join = [[-1] * len(points) for _ in points]
+    for a, b in combinations(range(len(points)), 2):
+        if form(points[a], points[b]) == 0:
+            plane = tuple(_rref([points[a], points[b]], d, p)[0])
+            join[a][b] = join[b][a] = keys.setdefault(plane, len(keys))
+    inconsistent, collinear = induced_relations(np.eye(len(points), dtype=bool), join)
+    ppip = Ppip(Poset(points, ()), [frozenset(points[i] for i in pair) for pair in inconsistent],
+                [frozenset(points[i] for i in trip) for trip in collinear])
     ok, witness = check_axioms(ppip)
     assert ok, f"polar space construction violated an axiom: {witness!r}"
     return ppip

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .errors import BudgetError, InputError, NotModularError
 from .poset import Poset
 from .ppip import Ppip, check_regularity, check_weak_triangle, induced_ppip, subspace_closure
-from .semilattice import Semilattice, induced_relations
+from .semilattice import Semilattice, inclusion_matrix, induced_relations
 
 # Incremented whenever the closed family of a system is materialized.
 # Operations advertised as closure-driven (closure, recognition) must leave
@@ -260,8 +262,7 @@ class ImplicationalSystem:
 
 def _family_semilattice(sigma: ImplicationalSystem, sets: list[frozenset]) -> Semilattice:
     ids = [tuple(sorted(s, key=lambda x: sigma._index[x])) for s in sets]
-    rel = [(s, t) for s in ids for t in ids if s != t and set(s) < set(t)]
-    return Semilattice(ids, rel)
+    return Semilattice(ids, inclusion_matrix(sets))
 
 
 # -- irreducible structure ------------------------------------------------
@@ -320,8 +321,8 @@ def irreducible_ppip(sigma: ImplicationalSystem) -> Ppip:
     ids = [sigma._tuple(m) for m in irr]
     ids.sort(key=lambda t: (len(t), tuple(idx[x] for x in t)))
     masks = [sigma._mask(t) for t in ids]
-    poset = Poset(ids, [(s, t) for s, ms in zip(ids, masks) for t, mt in zip(ids, masks)
-                        if s != t and ms & ~mt == 0])
+    leq = [[ms & ~mt == 0 for mt in masks] for ms in masks]
+    poset = Poset(ids, np.array(leq, dtype=bool).reshape(len(ids), len(ids)))
 
     # closure masks interned to integer keys; -1 marks a nonexistent join
     keys: dict[int, int] = {}
@@ -421,7 +422,7 @@ def _check_implication_generation(sigma: ImplicationalSystem, ppip: Ppip) -> dic
         for x in a:
             seed |= ideal_of(single[x])
         generated = subspace_closure(ppip, seed) if seed else frozenset()
-        for e in b - a:
+        for e in sorted(b - a, key=_ground_key):
             if not ideal_of(single[e]) <= generated:
                 return {"condition": "implication-generation",
                         "premise": tuple(sorted(a, key=_ground_key)),
@@ -528,24 +529,19 @@ def _phi_map(L: Semilattice) -> tuple[list, dict]:
 def _mn_intervals(L: Semilattice) -> list[tuple]:
     """Height-2 intervals [y, x] whose strict interior has at least three
     elements, each covering y and covered by x, with pairwise meets y and
-    pairwise joins x.  Returned as (y, x, mids) with mids canonical."""
+    pairwise joins x (which makes the interior an antichain of covers).
+    Returned as (y, x, mids) with mids canonical."""
+    lt, M, J = L._lt, L._meet_table, L._join_table
     out = []
-    for y in L.elements:
-        above = [x for x in L.elements if L.lt(y, x)]
-        for x in above:
-            mids = [z for z in L.elements if L.lt(y, z) and L.lt(z, x)]
+    for y, above in enumerate(lt):
+        for x in np.flatnonzero(above):
+            mids = np.flatnonzero(above & lt[:, x])
             if len(mids) < 3:
                 continue
-            covers_ok = all(y in L.lower_covers(z) and z in L.lower_covers(x) for z in mids)
-            if not covers_ok:
-                continue
-            degenerate = False
-            for z1, z2 in combinations(mids, 2):
-                if L.meet(z1, z2) != y or L.join(z1, z2) != x:
-                    degenerate = True
-                    break
-            if not degenerate:
-                out.append((y, x, mids))
+            pairs = np.ix_(mids, mids)
+            off = ~np.eye(len(mids), dtype=bool)
+            if (M[pairs][off] == y).all() and (J[pairs][off] == x).all():
+                out.append((L.elements[y], L.elements[x], [L.elements[z] for z in mids]))
     return out
 
 

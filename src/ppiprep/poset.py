@@ -3,9 +3,10 @@
 Elements are opaque hashable ids (strings in JSON files, tuples for derived
 structures).  The canonical total order on elements is their position in the
 ``elements`` list; every enumeration in this package reports results in that
-order so outputs are stable.  The order relation is kept as a dense boolean
-matrix; the stored covers are always the transitive reduction, recomputed at
-construction no matter what relation pairs were passed in.
+order so outputs are stable.  The order relation is carried as a dense
+boolean matrix: a caller that already knows an order passes its matrix, and
+pairs are only for orders read from outside.  The stored covers are always
+the transitive reduction, recomputed at construction from either form.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ class Poset:
     elements:
         The ground set, in canonical order.  Duplicates are rejected.
     relations:
-        Pairs ``(a, b)`` meaning ``a < b``.  Any relation whose transitive
-        closure is acyclic is accepted; covers are recomputed from scratch.
+        Pairs ``(a, b)`` meaning ``a < b``, or a k x k boolean array whose
+        entry (i, j) says element i lies below element j (the diagonal is
+        ignored).  Any relation whose transitive closure is acyclic is
+        accepted; covers are recomputed from scratch.
     """
 
-    def __init__(self, elements: Sequence[Element], relations: Iterable[tuple[Element, Element]] = ()):
+    def __init__(self, elements: Sequence[Element],
+                 relations: Iterable[tuple[Element, Element]] | np.ndarray = ()):
         self.elements: list[Element] = list(elements)
         self._index: dict[Element, int] = {}
         for pos, el in enumerate(self.elements):
@@ -39,30 +43,35 @@ class Poset:
                 raise InputError(f"duplicate element: {el!r}")
             self._index[el] = pos
         n = len(self.elements)
-        adj = np.zeros((n, n), dtype=bool)
-        for a, b in relations:
-            ia, ib = self.index(a), self.index(b)
-            if ia == ib:
-                raise InputError(f"cycle: element {a!r} related to itself")
-            adj[ia, ib] = True
-        closure = adj.copy()
+        if isinstance(relations, np.ndarray):
+            if relations.shape != (n, n):
+                raise InputError(f"relation matrix has shape {relations.shape}, expected {(n, n)}")
+            closure = relations.astype(bool)
+            np.fill_diagonal(closure, False)
+        else:
+            closure = np.zeros((n, n), dtype=bool)
+            for a, b in relations:
+                ia, ib = self.index(a), self.index(b)
+                if ia == ib:
+                    raise InputError(f"cycle: element {a!r} related to itself")
+                closure[ia, ib] = True
         while True:
-            nxt = closure | (closure @ closure)
-            if (nxt == closure).all():
+            square = closure @ closure
+            if not (square & ~closure).any():
                 break
-            closure = nxt
+            closure = closure | square
         cyc = closure & closure.T
         if cyc.any():
             ia, ib = map(int, np.argwhere(cyc)[0])
             raise InputError(f"cycle through elements {self.elements[ia]!r} and {self.elements[ib]!r}")
         self._lt = closure
         self.leq_matrix: np.ndarray = closure | np.eye(n, dtype=bool)
-        red = closure & ~(closure @ closure)
+        red = closure & ~square
         self._cover_matrix = red
+        # argwhere is row-major, which is the canonical order of pairs
         self.covers: list[tuple[Element, Element]] = [
             (self.elements[i], self.elements[j]) for i, j in np.argwhere(red)
         ]
-        self.covers.sort(key=lambda ab: (self.index(ab[0]), self.index(ab[1])))
 
     # -- basic queries ---------------------------------------------------
 
@@ -150,8 +159,8 @@ class Poset:
     def subposet(self, keep: Iterable[Element]) -> "Poset":
         """Induced subposet, elements in the parent's canonical order."""
         kept = self.sort_canonical(set(keep))
-        rel = [(a, b) for a in kept for b in kept if a != b and self.leq(a, b)]
-        return Poset(kept, rel)
+        idx = [self.index(x) for x in kept]
+        return Poset(kept, self.leq_matrix[np.ix_(idx, idx)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):

@@ -14,9 +14,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .errors import AxiomError, InputError
 from .poset import Element, Poset
-from .semilattice import Semilattice
+from .semilattice import Semilattice, inclusion_matrix
 
 
 class Ppip:
@@ -370,8 +372,7 @@ def consistent_subspaces(ppip: Ppip) -> Semilattice:
                 queue.append(grown)
     ids = sorted((tuple(P.sort_canonical(s)) for s in seen),
                  key=lambda t: (len(t), tuple(P.index(x) for x in t)))
-    rel = [(s, t) for s in ids for t in ids if s != t and set(s) <= set(t)]
-    return Semilattice(ids, rel)
+    return Semilattice(ids, inclusion_matrix(ids))
 
 
 # -- round trip ----------------------------------------------------------
@@ -402,10 +403,10 @@ def birkhoff_roundtrip(L: Semilattice) -> dict:
     if images != set(cs.elements):
         return fail("phi image differs from the subspace family",
                     sorted(map(str, images.symmetric_difference(cs.elements)))[:3])
-    for x in L.elements:
-        for y in L.elements:
-            if L.leq(x, y) != (set(phi[x]) <= set(phi[y])):
-                return fail("phi does not preserve order", (x, y))
+    mismatch = np.argwhere(L.leq_matrix != inclusion_matrix([phi[l] for l in L.elements]))
+    if len(mismatch):
+        x, y = mismatch[0]
+        return fail("phi does not preserve order", (L.elements[x], L.elements[y]))
     psi = {}
     for sid in cs.elements:
         val = L.join_all(sid)

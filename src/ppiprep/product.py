@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product as iter_product
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, InputError, NotModularError
 from .poset import Poset
 from .ppip import Ppip
@@ -173,8 +175,6 @@ def join_irreducible_elements(oracle: MembershipOracle) -> list[Base]:
         i0, l0 = labels[0]
         out.append(Base(i0, l0, vec, labels=tuple(labels), lattices=tuple(oracle.lattices)))
     out.sort(key=lambda b: tuple(oracle.lattices[j].index(b.vector[j]) for j in range(oracle.n)))
-    bound = sum(len(_projection(oracle, i).join_irreducibles()) for i in range(oracle.n))
-    assert len(out) <= bound
     return out
 
 
@@ -197,41 +197,17 @@ def build_ppip(oracle: MembershipOracle) -> Ppip:
 
     points = join_irreducible_elements(oracle)
     ids = [p.vector for p in points]
-    by_vec = {p.vector: p for p in points}
-    by_label = {}
-    for p in points:
-        for lab in p.labels:
-            by_label[lab] = p.vector
-
-    rel = []
-    for a in points:
-        for b in points:
-            if a.vector != b.vector and lcp_leq(a, b.vector):
-                rel.append((a.vector, b.vector))
-    leq = {(a, b) for a, b in rel}
-
-    def below(x: Vector, y: Vector) -> bool:
-        return x == y or (x, y) in leq
-
+    leq = [[lcp_leq(a, b.vector) for b in points] for a in points]
+    poset = Poset(ids, np.array(leq, dtype=bool).reshape(len(ids), len(ids)))
+    point_of = {lab: k for k, p in enumerate(points) for lab in p.labels}
     projections = {i: _projection(oracle, i) for i in range(oracle.n)}
 
-    seeds = set()
-    for i in range(oracle.n):
-        proj = projections[i]
-        for pair in proj.induced_inconsistency():
-            l, l2 = tuple(pair)
-            a = by_label.get((i, l))
-            b = by_label.get((i, l2))
-            assert a is not None and b is not None
-            seeds.add(frozenset((a, b)))
-
+    # every pair above the points of an inconsistent pair of defining values
     inconsistent = set()
-    for pair in seeds:
-        sa, sb = tuple(pair)
-        for x in ids:
-            for y in ids:
-                if (below(sa, x) and below(sb, y)) or (below(sa, y) and below(sb, x)):
-                    inconsistent.add(frozenset((x, y)))
+    for i, proj in projections.items():
+        for pair in proj.induced_inconsistency():
+            above_a, above_b = (np.flatnonzero(poset.leq_matrix[point_of[(i, l)]]) for l in pair)
+            inconsistent.update(frozenset((ids[x], ids[y])) for x in above_a for y in above_b)
 
     # collinear triples of each projection, among the values the points take there
     lines = {}
@@ -251,9 +227,7 @@ def build_ppip(oracle: MembershipOracle) -> Ppip:
                for i in (pa.labels[0][0], pb.labels[0][0], pc.labels[0][0])):
             collinear.append(frozenset((va, vb, vc)))
 
-    poset = Poset(ids, rel)
-    return Ppip(poset, sorted(inconsistent, key=lambda s: sorted(map(str, s))),
-                collinear)
+    return Ppip(poset, inconsistent, collinear)
 
 
 def oracle_from_set(members: Iterable[Vector],

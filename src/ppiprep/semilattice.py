@@ -28,7 +28,8 @@ from .poset import Element, Poset
 
 
 class Semilattice(Poset):
-    def __init__(self, elements: Sequence[Element], relations: Iterable[tuple[Element, Element]] = ()):
+    def __init__(self, elements: Sequence[Element],
+                 relations: Iterable[tuple[Element, Element]] | np.ndarray = ()):
         super().__init__(elements, relations)
         self._build_tables()
         self._modular_cache: tuple[bool, dict | None] | None = None
@@ -36,59 +37,49 @@ class Semilattice(Poset):
 
     @classmethod
     def from_poset(cls, poset: Poset) -> "Semilattice":
-        return cls(poset.elements, poset.covers)
+        return cls(poset.elements, poset.leq_matrix)
 
     def _build_tables(self) -> None:
+        """Meets and joins read off ideal sizes: the meet of i and j is the
+        common lower bound with the largest principal ideal, valid exactly
+        when that ideal holds every common lower bound; joins are dual."""
         n = len(self.elements)
         if n == 0:
             raise NotSemilatticeError("empty semilattice has no minimum")
         Z = self.leq_matrix
-        Zf = Z.astype(np.float32)
+        below = np.ascontiguousarray(Z.T)           # below[x, w] = w <= x
+        down = Z.sum(axis=0)                        # principal ideal sizes
+        up = Z.sum(axis=1)                          # principal filter sizes
         meet = np.empty((n, n), dtype=np.int32)
         join = np.empty((n, n), dtype=np.int32)
-        below = Z.T  # below[x, w] = w <= x
-        above = Z    # above[x, w] = x <= w
-        for i in range(n):
-            lb = below[i][None, :] & below          # lb[j, w] = w <= i and w <= j
-            sizes = lb.sum(axis=1)
-            if (sizes == 0).any():
-                j = int(np.flatnonzero(sizes == 0)[0])
-                raise NotSemilatticeError(
-                    f"not a meet-semilattice: {self.elements[i]!r} and {self.elements[j]!r} "
-                    "have no common lower bound",
-                    witness=(self.elements[i], self.elements[j]),
-                )
-            counts = lb.astype(np.float32) @ Zf     # counts[j, z] = #{w in lb : w <= z}
-            glb = lb & (counts == sizes[:, None].astype(np.float32))
-            hits = glb.sum(axis=1)
-            if (hits != 1).any():
-                j = int(np.flatnonzero(hits != 1)[0])
-                raise NotSemilatticeError(
-                    f"not a meet-semilattice: {self.elements[i]!r} and {self.elements[j]!r} "
-                    "have no greatest common lower bound",
-                    witness=(self.elements[i], self.elements[j]),
-                )
-            meet[i] = glb.argmax(axis=1)
 
-            ub = above[i][None, :] & above          # ub[j, w] = i <= w and j <= w
+        def failure(i: int, bad: np.ndarray, message: str) -> NotSemilatticeError:
+            a, b = self.elements[i], self.elements[int(np.flatnonzero(bad)[0])]
+            return NotSemilatticeError(message.format(f"{a!r} and {b!r}"), witness=(a, b))
+
+        for i in range(n):
+            lb = below[i] & below                   # lb[j, w] = w <= i and w <= j
+            sizes = lb.sum(axis=1)
+            if not sizes.all():
+                raise failure(i, sizes == 0, "not a meet-semilattice: {} have no common lower bound")
+            glb = np.where(lb, down, -1).argmax(axis=1)
+            if (down[glb] != sizes).any():
+                raise failure(i, down[glb] != sizes,
+                              "not a meet-semilattice: {} have no greatest common lower bound")
+            meet[i] = glb
+
+            ub = Z[i] & Z                           # ub[j, w] = i <= w and j <= w
             usizes = ub.sum(axis=1)
-            ucounts = ub.astype(np.float32) @ Zf.T  # ucounts[j, z] = #{w in ub : z <= w}
-            lub = ub & (ucounts == usizes[:, None].astype(np.float32))
-            uhits = lub.sum(axis=1)
-            bad = (usizes > 0) & (uhits != 1)
+            lub = np.where(ub, up, -1).argmax(axis=1)
+            bad = (usizes > 0) & (up[lub] != usizes)
             if bad.any():
-                # cannot happen once meets are total; kept as a defensive check
-                j = int(np.flatnonzero(bad)[0])
-                raise NotSemilatticeError(
-                    f"upper bounds of {self.elements[i]!r} and {self.elements[j]!r} have no least member",
-                    witness=(self.elements[i], self.elements[j]),
-                )
-            row = np.where(usizes > 0, lub.argmax(axis=1), -1)
-            join[i] = row
+                # only when some pair of upper bounds has no meet, in a later row
+                raise failure(i, bad, "upper bounds of {} have no least member")
+            join[i] = np.where(usizes > 0, lub, -1)
         self._meet_table = meet
         self._join_table = join
         # with total meets the minimum is the unique element below all others
-        mins = np.flatnonzero(Z.sum(axis=1) == n)
+        mins = np.flatnonzero(up == n)
         assert len(mins) == 1
         self._min_index = int(mins[0])
 
@@ -259,3 +250,13 @@ def induced_relations(leq: np.ndarray, join) -> tuple[list[tuple[int, int]], lis
                 collinear.extend((i, j, m) for m in range(j + 1, len(J))
                                  if Ji[m] == key and Jj[m] == key and not (ci[m] or cj[m]))
     return inconsistent, collinear
+
+
+def inclusion_matrix(sets: Sequence[Iterable]) -> np.ndarray:
+    """k x k boolean array whose entry (i, j) says ``sets[i]`` is a subset
+    of ``sets[j]``: one product of 0/1 membership rows."""
+    column = {x: c for c, x in enumerate(set().union(*sets))}
+    member = np.zeros((len(sets), len(column)), dtype=bool)
+    for r, s in enumerate(sets):
+        member[r, [column[x] for x in s]] = True
+    return ~(member @ ~member.T)

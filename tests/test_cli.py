@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,23 @@ def test_dm_decompose_report_and_artifacts(tmp_path, capsys):
     assert len(data["transformed"]) == 6
     text = dot.read_text()
     assert text.startswith("digraph") and text.count("->") == 5
+
+
+def test_recognize_witness_independent_of_hash_seed():
+    # two conclusion elements of "3 4 -> 2 5" lie outside the generated
+    # subspace; the witness must name the first in ground order
+    src = str(DATA.parent.parent / "src")
+    outs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "ppiprep.cli", "recognize",
+                               "--input", str(DATA / "sigma_witness.txt")],
+                              env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 1, proc.stderr
+        outs.add(proc.stdout)
+    assert outs == {"modular semilattice: no\nwitness: {'condition': 'implication-generation', "
+                    "'premise': ('3', '4'), 'element': '2'}\n"}
 
 
 # -- exit codes ----------------------------------------------------------

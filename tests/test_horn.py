@@ -16,6 +16,7 @@ from ppiprep.horn import (
     recognize_modular_semilattice,
 )
 from ppiprep.ppip import check_axioms, induced_ppip
+from ppiprep.semilattice import Semilattice
 
 from helpers import DATA
 
@@ -248,6 +249,21 @@ def test_quasiclosure_spots():
 
 
 # -- optimal bases -------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_mn_intervals_of_mk(k):
+    atoms = [f"a{i}" for i in range(k)]
+    L = Semilattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+    assert horn._mn_intervals(L) == [("0", "1", atoms)]
+
+
+def test_mn_intervals_skip_an_interior_chain():
+    # 0 < a < a2 < 1 next to the atoms b, c: the interior of [0, 1] is not
+    # an antichain, and no other interval has three intermediates
+    L = Semilattice(["0", "a", "b", "c", "a2", "1"],
+                    [("0", "a"), ("a", "a2"), ("a2", "1"), ("0", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+    assert horn._mn_intervals(L) == []
+
 
 def test_optimal_base_of_nine_family():
     base = optimal_base(nine_system().family())

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,11 +30,27 @@ def test_reflexive():
 def test_cycle_rejected():
     with pytest.raises(InputError):
         Poset(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(InputError):
+        Poset(["a", "b", "c"], np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool))
 
 
 def test_unknown_element_in_relation_rejected():
     with pytest.raises(InputError):
         Poset(["a"], [("a", "q")])
+
+
+def test_matrix_relations():
+    # entry (i, j) says element i lies below element j; the diagonal is ignored
+    m = np.array([[True, True, False], [False, True, True], [False, False, False]])
+    p = Poset(["a", "b", "c"], m)
+    assert p == Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert p.covers == [("a", "b"), ("b", "c")]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3), (1, 2, 2)])
+def test_matrix_of_wrong_size_rejected(shape):
+    with pytest.raises(InputError):
+        Poset(["a", "b"], np.zeros(shape, dtype=bool))
 
 
 def test_redundant_relations_reduce_to_covers():
@@ -138,3 +155,31 @@ def test_covers_match_order(p):
             strictly_between = any(p.lt(a, m) and p.lt(m, b) for m in p.elements)
             is_cover = (a, b) in set(p.covers)
             assert is_cover == (p.lt(a, b) and not strictly_between)
+
+
+@st.composite
+def random_relations(draw):
+    """Labels plus arbitrary pairs of distinct indices; cycles are likely."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    if n < 2:
+        return [f"e{i}" for i in range(n)], []
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return [f"e{i}" for i in range(n)], draw(st.lists(edge, max_size=10))
+
+
+@given(random_relations())
+def test_matrix_form_equals_pair_form(case):
+    labels, edges = case
+    matrix = np.zeros((len(labels), len(labels)), dtype=bool)
+    for i, j in edges:
+        matrix[i, j] = True
+    pairs = [(labels[i], labels[j]) for i, j in edges]
+    try:
+        want = Poset(labels, pairs)
+    except InputError:
+        with pytest.raises(InputError):
+            Poset(labels, matrix)
+        return
+    got = Poset(labels, matrix)
+    assert got == want
+    assert got.covers == want.covers

@@ -39,6 +39,33 @@ def test_meet_join_tables_match_brute_force():
                 assert lat.has_join(a, b) == (brute_join(lat, a, b) is not None)
 
 
+@st.composite
+def random_orders(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = [f"e{i}" for i in range(n)]
+    rel = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Poset(draw(st.permutations(labels)), rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_orders())
+def test_meet_join_tables_match_brute_force_on_random_posets(p):
+    # either the tables agree with the definitions, or the witness pair
+    # really has no greatest common lower bound; a row's joins are read
+    # before the next row's meets, so the witness may instead be a bounded
+    # pair without a least upper bound
+    try:
+        lat = Semilattice.from_poset(p)
+    except NotSemilatticeError as exc:
+        a, b = exc.witness
+        assert brute_meet(p, a, b) is None or (p.upper_bounds((a, b)) and brute_join(p, a, b) is None)
+        return
+    for a in lat.elements:
+        for b in lat.elements:
+            assert lat.meet(a, b) == brute_meet(p, a, b)
+            assert lat.join(a, b) == brute_join(p, a, b)
+
+
 def test_min_element():
     assert make_m3().min_element == "0"
     assert make_s3().min_element == "bot"
