@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .poset import Poset
-from .ppip import Ppip, check_axioms, is_consistent_subspace
+from .ppip import Ppip, check_axioms, is_consistent_subspace, subspace_closure
 from .product import MembershipOracle, build_ppip, oracle_from_minimizers
-from .semilattice import Semilattice, induced_relations
+from .semilattice import Semilattice, induced_relations, inclusion_matrix
 
 
 def _check_prime(p) -> int:
@@ -306,19 +306,10 @@ def subspace_lattice(d: int, p: int, reverse: bool = False, budget: int = 10 ** 
     count = _count_subspaces(d, p)
     if count > budget:
         raise BudgetError(f"{count} subspaces of GF({p})^{d} exceed budget {budget}")
-    subs = all_subspaces(d, p)
-    by_dim: list[list[Subspace]] = [[] for _ in range(d + 1)]
-    for s in subs:
-        by_dim[s.dim].append(s)
-    members = {s: frozenset(s.vectors()) for s in subs}
-    rel = []
-    for k in range(d):
-        for a in by_dim[k]:
-            for b in by_dim[k + 1]:
-                if all(row in members[b] for row in a.basis):
-                    rel.append((b, a) if reverse else (a, b))
     key = (lambda s: (d - s.dim, s.basis)) if reverse else (lambda s: (s.dim, s.basis))
-    return Semilattice(sorted(subs, key=key), rel)
+    subs = sorted(all_subspaces(d, p), key=key)
+    inclusion = inclusion_matrix([s.vectors() for s in subs])
+    return Semilattice(subs, inclusion.T if reverse else inclusion)
 
 
 # -- polar spaces ---------------------------------------------------------
@@ -516,11 +507,11 @@ def maximal_chain(ppip: Ppip) -> list[frozenset]:
     one.
 
     Each step picks the canonically least minimal element of the complement
-    that is consistent with the current set, then adds every element made
-    collinear with it by a current element.  On structures whose points are
-    pairwise consistent (minimizer sets in particular) this is exactly the
-    textbook greedy step; each grown set is verified to stay in the
-    consistent family.
+    that is consistent with the current set and takes the subspace closure
+    of the two.  On structures whose points are pairwise consistent
+    (minimizer sets in particular) this is exactly the textbook greedy step,
+    which adds every element made collinear with the pick by a current
+    element; each grown set is verified to stay in the consistent family.
     """
     P = ppip.poset
     chain = [frozenset()]
@@ -532,19 +523,8 @@ def maximal_chain(ppip: Ppip) -> list[frozenset]:
         if not candidates:
             break
         pick = min(candidates, key=P.index)
-        grown = set(current)
-        grown.add(pick)
-        for trip in ppip.collinear:
-            if pick not in trip:
-                continue
-            a, b = (x for x in trip if x != pick)
-            if a in current:
-                grown.add(b)
-            if b in current:
-                grown.add(a)
-        grown = frozenset(grown)
+        grown = subspace_closure(ppip, current | {pick})
         assert is_consistent_subspace(ppip, grown), "greedy step left the consistent family"
-        assert current < grown
         chain.append(grown)
         current = grown
     return chain

@@ -7,11 +7,19 @@ ternary collinearity relation (triples acting like three points on a line).
 reports the first violation; ``consistent_subspaces`` rebuilds the semilattice
 the structure encodes, and ``birkhoff_roundtrip`` certifies that encoding and
 decoding are mutually inverse on a given modular semilattice.
+
+A ``Ppip`` keeps its relations as the frozensets it was given and, built
+once at construction from the poset's ``leq_matrix``, an index form in
+which points are positions in ``poset.elements`` and sets of points are
+integer bitmasks: the principal ideal and filter of each point, the points
+inconsistent with it, and per pair of points the third points completing
+it to a collinear triple, with the pairs and triples as sorted index
+tuples.  The axiom checks and the subspace operations read only that form.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 import numpy as np
@@ -32,55 +40,65 @@ class Ppip:
     def __init__(self, poset: Poset, inconsistent: Iterable[frozenset] = (),
                  collinear: Iterable[frozenset] = ()):
         self.poset = poset
-        inc = set()
-        for pair in inconsistent:
-            pair = frozenset(pair)
-            if len(pair) != 2:
-                raise InputError(f"inconsistent pair must have two distinct elements: {sorted(map(str, pair))}")
-            for x in pair:
-                poset.index(x)
-            inc.add(pair)
-        col = set()
-        for trip in collinear:
-            trip = frozenset(trip)
-            if len(trip) != 3:
-                raise InputError(f"collinear triple must have three distinct elements: {sorted(map(str, trip))}")
-            for x in trip:
-                poset.index(x)
-            col.add(trip)
-        self.inconsistent: frozenset = frozenset(inc)
-        self.collinear: frozenset = frozenset(col)
+        self._pairs = sorted({_indexed(poset, pair, 2, "inconsistent pair must have two")
+                              for pair in inconsistent})
+        self._triples = sorted({_indexed(poset, trip, 3, "collinear triple must have three")
+                                for trip in collinear})
+        self.inconsistent: frozenset = frozenset(frozenset(self._names(p)) for p in self._pairs)
+        self.collinear: frozenset = frozenset(frozenset(self._names(t)) for t in self._triples)
+        self._up = _masks(poset.leq_matrix)         # _up[i]: points >= i
+        self._down = _masks(poset.leq_matrix.T)     # _down[i]: points <= i
+        self._inc = [0] * len(poset)                # _inc[i]: points inconsistent with i
+        for i, j in self._pairs:
+            self._inc[i] |= 1 << j
+            self._inc[j] |= 1 << i
+        self._third: list[dict[int, int]] = [{} for _ in poset.elements]  # [i][j]: points on a line with i, j
+        for t in self._triples:
+            for x, y, z in permutations(t):
+                self._third[x][y] = self._third[x].get(y, 0) | 1 << z
 
     # canonical, deterministic listings
     def inconsistent_pairs(self) -> list[tuple[Element, Element]]:
-        pairs = [tuple(self.poset.sort_canonical(p)) for p in self.inconsistent]
-        pairs.sort(key=lambda p: (self.poset.index(p[0]), self.poset.index(p[1])))
-        return pairs
+        return [self._names(p) for p in self._pairs]
 
     def collinear_triples(self) -> list[tuple[Element, Element, Element]]:
-        trips = [tuple(self.poset.sort_canonical(t)) for t in self.collinear]
-        trips.sort(key=lambda t: tuple(self.poset.index(x) for x in t))
-        return trips
+        return [self._names(t) for t in self._triples]
 
     def consistent(self, x: Element, y: Element) -> bool:
-        return x == y or frozenset((x, y)) not in self.inconsistent
+        return x == y or not self._inc[self.poset.index(x)] >> self.poset.index(y) & 1
 
     def minimal_inconsistent_pairs(self) -> list[tuple[Element, Element]]:
         """Inconsistent pairs with no inconsistent pair strictly below them."""
-        pairs = self.inconsistent_pairs()
-        out = []
-        for p, q in pairs:
-            minimal = True
-            for a, b in pairs:
-                if (a, b) == (p, q):
-                    continue
-                if (self.poset.leq(a, p) and self.poset.leq(b, q)) or \
-                   (self.poset.leq(a, q) and self.poset.leq(b, p)):
-                    minimal = False
-                    break
-            if minimal:
-                out.append((p, q))
-        return out
+        down, inc = self._down, self._inc
+        # the pair itself is the one inconsistent pair (a, b) <= (i, j) of a minimal one
+        return [self._names((i, j)) for i, j in self._pairs
+                if sum((inc[a] & down[j]).bit_count() for a in _bits(down[i])) == 1]
+
+    # -- index form: points as bit positions, sets of points as bitmasks --
+
+    def _names(self, points) -> tuple:
+        return tuple(self.poset.elements[i] for i in points)
+
+    def _mask(self, xs: Iterable[Element]) -> int:
+        return _bitmask(map(self.poset.index, xs))
+
+    def _close(self, mask: int) -> int:
+        """Smallest subspace containing ``mask``: each point taken up brings
+        its principal ideal and the third points of its lines with the points
+        taken up before it, so every pair of points is completed once."""
+        done, todo = 0, mask
+        while todo:
+            i = _low(todo)
+            grown = self._down[i]
+            for j, thirds in self._third[i].items():
+                if done >> j & 1:
+                    grown |= thirds
+            done |= 1 << i
+            todo = (todo | grown) & ~done
+        return done
+
+    def _is_consistent_subspace(self, mask: int) -> bool:
+        return self._close(mask) == mask and not any(self._inc[i] & mask for i in _bits(mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ppip):
@@ -144,135 +162,123 @@ def check_axioms(ppip: Ppip) -> tuple[bool, dict | None]:
 
 
 def _check_ic1(ppip: Ppip) -> dict | None:
-    P = ppip.poset
-    for p, q in ppip.inconsistent_pairs():
-        ubs = P.upper_bounds((p, q))
-        if ubs:
-            return {"axiom": "inconsistency-unbounded", "pair": (p, q), "upper_bound": ubs[0]}
+    up = ppip._up
+    for i, j in ppip._pairs:
+        common = up[i] & up[j]
+        if common:
+            return {"axiom": "inconsistency-unbounded", "pair": ppip._names((i, j)),
+                    "upper_bound": ppip.poset.elements[_low(common)]}
     return None
 
 
 def _check_ic2(ppip: Ppip) -> dict | None:
-    P = ppip.poset
-    for p, q in ppip.inconsistent_pairs():
-        for p2 in P.principal_filter(p):
-            for q2 in P.principal_filter(q):
-                if frozenset((p2, q2)) not in ppip.inconsistent:
-                    return {"axiom": "inconsistency-upward", "pair": (p, q), "violating_pair": (p2, q2)}
+    up, inc = ppip._up, ppip._inc
+    for i, j in ppip._pairs:
+        for i2 in _bits(up[i]):
+            consistent = up[j] & ~inc[i2]
+            if consistent:
+                return {"axiom": "inconsistency-upward", "pair": ppip._names((i, j)),
+                        "violating_pair": ppip._names((i2, _low(consistent)))}
     return None
 
 
 def _check_ct1(ppip: Ppip) -> dict | None:
-    P = ppip.poset
-    for trip in ppip.collinear_triples():
-        for x, y in combinations(trip, 2):
-            if P.comparable(x, y):
-                return {"axiom": "collinear-incomparable", "triple": trip, "comparable_pair": (x, y)}
-    return None
+    comparable = [up | down for up, down in zip(ppip._up, ppip._down)]
+    return _pair_on_a_line(ppip, comparable, "collinear-incomparable", "comparable_pair")
 
 
 def _check_ct2(ppip: Ppip) -> dict | None:
-    P = ppip.poset
-    for trip in ppip.collinear_triples():
-        for r in trip:
-            p, q = (x for x in trip if x != r)
-            for w in P.upper_bounds((p, q)):
-                if not P.leq(r, w):
-                    return {"axiom": "collinear-dominated", "triple": trip, "pair": (p, q),
-                            "upper_bound": w, "undominated": r}
+    up = ppip._up
+    for t in ppip._triples:
+        for r in t:
+            p, q = (x for x in t if x != r)
+            undominating = up[p] & up[q] & ~up[r]
+            if undominating:
+                return {"axiom": "collinear-dominated", "triple": ppip._names(t), "pair": ppip._names((p, q)),
+                        "upper_bound": ppip.poset.elements[_low(undominating)],
+                        "undominated": ppip.poset.elements[r]}
     return None
 
 
 def check_regularity(ppip: Ppip) -> dict | None:
-    P = ppip.poset
-    for trip in ppip.collinear_triples():
-        for r in trip:
-            p, q = (x for x in trip if x != r)
-            for r2 in P.principal_ideal(r):
-                if P.leq(r2, p) or P.leq(r2, q):
-                    continue
-                if not _has_lower_triple(ppip, p, q, r2):
-                    return {"axiom": "regularity", "triple": trip, "lowered": r2}
+    """Lowering one point of a line below the other two's ideals must stay on
+    a line with points below those two."""
+    down, third = ppip._down, ppip._third
+    for t in ppip._triples:
+        for r in t:
+            p, q = (x for x in t if x != r)
+            for r2 in _bits(down[r] & ~down[p] & ~down[q]):
+                if not any(third[r2].get(u, 0) & down[q] for u in _bits(down[p])):
+                    return {"axiom": "regularity", "triple": ppip._names(t),
+                            "lowered": ppip.poset.elements[r2]}
     return None
-
-
-def _has_lower_triple(ppip: Ppip, p: Element, q: Element, r2: Element) -> bool:
-    P = ppip.poset
-    for trip in ppip.collinear:
-        if r2 not in trip:
-            continue
-        u, v = (x for x in trip if x != r2)
-        if (P.leq(u, p) and P.leq(v, q)) or (P.leq(u, q) and P.leq(v, p)):
-            return True
-    return False
 
 
 def check_weak_triangle(ppip: Ppip) -> dict | None:
     """Two collinear triples sharing an element must satisfy one of the five
     triangle alternatives, whenever the five endpoints are pairwise consistent."""
-    P = ppip.poset
-    trips = ppip.collinear_triples()
+    trips, inc = ppip._triples, ppip._inc
+    on_line = [0] * len(ppip.poset)                 # on_line[x]: positions of the triples through x
+    for n, t in enumerate(trips):
+        for x in t:
+            on_line[x] |= 1 << n
     for t1 in trips:
-        for t2 in trips:
-            shared = [c for c in t1 if c in t2]
-            for c in shared:
+        for t2 in (trips[n] for n in _bits(on_line[t1[0]] | on_line[t1[1]] | on_line[t1[2]])):
+            five = _bitmask(t1 + t2)
+            if any(inc[x] & five for x in _bits(five)):
+                continue
+            for c in (x for x in t1 if x in t2):
                 rest1 = [x for x in t1 if x != c]
                 rest2 = [x for x in t2 if x != c]
                 for a, p in (rest1, rest1[::-1]):
                     for b, q in (rest2, rest2[::-1]):
-                        five = {a, b, c, p, q}
-                        if any(not ppip.consistent(x, y) for x, y in combinations(five, 2)):
-                            continue
                         if not _triangle_alternatives(ppip, a, c, p, b, q):
-                            return {"axiom": "weak-triangle", "premise": (a, c, p, b, q)}
+                            return {"axiom": "weak-triangle", "premise": ppip._names((a, c, p, b, q))}
     return None
 
 
 def _triangle_alternatives(ppip: Ppip, a, c, p, b, q) -> bool:
-    P = ppip.poset
-    # (5) q below a or p
-    if P.leq(q, a) or P.leq(q, p):
+    up, down, third = ppip._up, ppip._down, ppip._third
+    on_bq = third[b].get(q, 0)
+    # (5) q below a or p; (3) b, q, p collinear; (2) some a' <= a with b, q, a' collinear
+    if (down[a] | down[p]) >> q & 1 or on_bq >> p & 1 or on_bq & down[a]:
         return True
-    # (3) b, q, p collinear
-    if frozenset((b, q, p)) in ppip.collinear:
-        return True
-    # (2) some a' <= a with b, q, a' collinear
-    for a2 in P.principal_ideal(a):
-        if frozenset((b, q, a2)) in ppip.collinear:
-            return True
     # (4) some a' <= a and p' <= p with q, a', p' collinear
-    for a2 in P.principal_ideal(a):
-        for p2 in P.principal_ideal(p):
-            if frozenset((q, a2, p2)) in ppip.collinear:
-                return True
+    if any(third[q].get(a2, 0) & down[p] for a2 in _bits(down[a])):
+        return True
     # (1) a completing sixth point
-    for x in P.elements:
-        if frozenset((a, b, x)) not in ppip.collinear or frozenset((p, q, x)) not in ppip.collinear:
+    for x in _bits(third[a].get(b, 0) & third[p].get(q, 0)):
+        six = _bitmask((a, b, c, p, q, x))
+        if any((up[u] | down[u]) & six & ~(1 << u) for u in _bits(six)):
             continue
-        six = {a, b, c, p, q, x}
-        if any(P.comparable(u, v) for u, v in combinations(six, 2)):
-            continue
-        allowed = {frozenset((a, c, p)), frozenset((b, c, q)),
-                   frozenset((a, b, x)), frozenset((p, q, x))}
-        if all(frozenset(t) in allowed for t in combinations(six, 3) if frozenset(t) in ppip.collinear):
+        # the six may carry no lines but these four, each counted once per pair on it
+        allowed = {frozenset(t) for t in ((a, c, p), (b, c, q), (a, b, x), (p, q, x))}
+        if sum((third[u].get(v, 0) & six).bit_count() for u, v in combinations(_bits(six), 2)) == 3 * len(allowed):
             return True
     return False
 
 
 def _check_cc1(ppip: Ppip) -> dict | None:
-    for trip in ppip.collinear_triples():
-        for x, y in combinations(trip, 2):
-            if not ppip.consistent(x, y):
-                return {"axiom": "collinear-consistent", "triple": trip, "inconsistent_pair": (x, y)}
+    return _pair_on_a_line(ppip, ppip._inc, "collinear-consistent", "inconsistent_pair")
+
+
+def _pair_on_a_line(ppip: Ppip, related: list[int], axiom: str, key: str) -> dict | None:
+    """The first pair of points on a collinear triple that ``related`` relates."""
+    for t in ppip._triples:
+        for x, y in combinations(t, 2):
+            if related[x] >> y & 1:
+                return {"axiom": axiom, "triple": ppip._names(t), key: ppip._names((x, y))}
     return None
 
 
 def _check_cc2(ppip: Ppip) -> dict | None:
-    for trip in ppip.collinear_triples():
-        for x in ppip.poset.elements:
-            k = sum(1 for t in trip if ppip.consistent(x, t))
-            if k == 2:
-                return {"axiom": "consistent-with-line", "triple": trip, "element": x}
+    every = (1 << len(ppip.poset)) - 1
+    for t in ppip._triples:
+        a, b, c = (every & ~ppip._inc[x] for x in t)   # points consistent with each point of t
+        two = (a & b & ~c) | (a & ~b & c) | (~a & b & c)
+        if two:
+            return {"axiom": "consistent-with-line", "triple": ppip._names(t),
+                    "element": ppip.poset.elements[_low(two)]}
     return None
 
 
@@ -288,58 +294,35 @@ def induced_ppip(L: Semilattice) -> Ppip:
 # -- consistent subspaces ------------------------------------------------
 
 def is_consistent_subspace(ppip: Ppip, xs: Iterable[Element]) -> bool:
-    s = frozenset(xs)
-    if not ppip.poset.is_ideal(s):
-        return False
-    for x, y in combinations(s, 2):
-        if not ppip.consistent(x, y):
-            return False
-    for trip in ppip.collinear:
-        inside = [x for x in trip if x in s]
-        if len(inside) == 2:
-            return False
-    return True
+    return ppip._is_consistent_subspace(ppip._mask(xs))
 
 
 def subspace_closure(ppip: Ppip, xs: Iterable[Element]) -> frozenset:
-    """Smallest subspace containing ``xs``: alternate downward closure with
-    completion of collinear pairs until a fixpoint."""
-    current = {x for x in xs}
-    for x in current:
-        ppip.poset.index(x)
-    for x, y in combinations(current, 2):
-        if not ppip.consistent(x, y):
+    """Smallest subspace containing ``xs``: closed downward and under
+    completion of collinear pairs."""
+    mask = ppip._mask(xs)
+    for i in _bits(mask):
+        if ppip._inc[i] & mask:
+            x, y = ppip._names((i, _low(ppip._inc[i] & mask)))
             raise InputError(f"inconsistent input: {x!r} and {y!r} admit no common subspace")
-    while True:
-        size = len(current)
-        for x in list(current):
-            current.update(ppip.poset.principal_ideal(x))
-        for trip in ppip.collinear:
-            inside = [x for x in trip if x in current]
-            if len(inside) == 2:
-                current.update(trip)
-        if len(current) == size:
-            return frozenset(current)
+    return frozenset(ppip._names(_bits(ppip._close(mask))))
 
 
 def join_subspaces(ppip: Ppip, S: Iterable[Element], T: Iterable[Element]) -> frozenset | None:
     """Join of two consistent subspaces: their union plus completions of
     cross-collinear pairs; ``None`` when the union is inconsistent."""
-    S, T = frozenset(S), frozenset(T)
+    S, T = ppip._mask(S), ppip._mask(T)
     for name, val in (("first", S), ("second", T)):
-        if not is_consistent_subspace(ppip, val):
+        if not ppip._is_consistent_subspace(val):
             raise InputError(f"{name} argument is not a consistent subspace")
-    for s in S:
-        for t in T:
-            if not ppip.consistent(s, t):
-                return None
-    out = set(S | T)
-    for trip in ppip.collinear:
-        for r in trip:
-            u, v = (x for x in trip if x != r)
-            if (u in S and v in T) or (u in T and v in S):
-                out.add(r)
-    return frozenset(out)
+    if any(ppip._inc[i] & T for i in _bits(S)):
+        return None
+    out = S | T
+    for i in _bits(S):
+        for j, thirds in ppip._third[i].items():
+            if T >> j & 1:
+                out |= thirds
+    return frozenset(ppip._names(_bits(out)))
 
 
 def consistent_subspaces(ppip: Ppip) -> Semilattice:
@@ -352,26 +335,20 @@ def consistent_subspaces(ppip: Ppip) -> Semilattice:
     ok, witness = check_axioms(ppip)
     if not ok:
         raise AxiomError(f"axiom failure: {witness['axiom']}", witness=witness)
-    P = ppip.poset
-    empty = frozenset()
-    seen = {empty}
-    queue = [empty]
+    seen = {0}
+    queue = [0]
     while queue:
         s = queue.pop()
-        for p in P.elements:
-            if p in s:
-                continue
-            if any(x not in s for x in P.principal_ideal(p) if x != p):
-                continue  # not minimal over s
-            if any(not ppip.consistent(p, x) for x in s):
-                continue
-            grown = subspace_closure(ppip, s | {p})
+        for p in range(len(ppip.poset)):
+            bit = 1 << p
+            if s & bit or ppip._down[p] & ~bit & ~s or ppip._inc[p] & s:
+                continue  # in s, not minimal over s, or inconsistent with s
+            grown = ppip._close(s | bit)
             if grown not in seen:
-                assert is_consistent_subspace(ppip, grown)
+                assert ppip._is_consistent_subspace(grown)
                 seen.add(grown)
                 queue.append(grown)
-    ids = sorted((tuple(P.sort_canonical(s)) for s in seen),
-                 key=lambda t: (len(t), tuple(P.index(x) for x in t)))
+    ids = [ppip._names(_bits(s)) for s in sorted(seen, key=lambda s: (s.bit_count(), list(_bits(s))))]
     return Semilattice(ids, inclusion_matrix(ids))
 
 
@@ -388,14 +365,13 @@ def birkhoff_roundtrip(L: Semilattice) -> dict:
     """
     ppip = induced_ppip(L)
     cs = consistent_subspaces(ppip)
-    irr = L.join_irreducibles()
+    irr = ppip.poset.elements
 
     def fail(reason: str, witness) -> dict:
         return {"ok": False, "reason": reason, "witness": witness}
 
-    phi = {}
-    for l in L.elements:
-        phi[l] = tuple(p for p in irr if L.leq(p, l))
+    below = L.leq_matrix[[L.index(p) for p in irr]]     # below[k, l]: irr[k] <= element l
+    phi = {l: ppip._names(np.flatnonzero(below[:, n])) for n, l in enumerate(L.elements)}
     images = set(phi.values())
     if len(images) != len(L.elements):
         dup = [l for l in L.elements if sum(1 for m in L.elements if phi[m] == phi[l]) > 1]
@@ -421,14 +397,15 @@ def birkhoff_roundtrip(L: Semilattice) -> dict:
             return fail("phi(psi(S)) differs from S", sid)
 
     ppip2 = induced_ppip(cs)
-    ideal_of = {p: tuple(x for x in irr if L.leq(x, p)) for p in irr}
+    ideal_of = {p: phi[p] for p in irr}
     if set(ideal_of.values()) != set(ppip2.poset.elements):
         return fail("irreducible subspaces are not the principal ideals",
                     sorted(map(str, set(ideal_of.values()).symmetric_difference(ppip2.poset.elements)))[:3])
-    for p in irr:
-        for q in irr:
-            if ppip.poset.leq(p, q) != ppip2.poset.leq(ideal_of[p], ideal_of[q]):
-                return fail("induced order differs", (p, q))
+    image = [ppip2.poset.index(ideal_of[p]) for p in irr]
+    mismatch = np.argwhere(ppip.poset.leq_matrix != ppip2.poset.leq_matrix[np.ix_(image, image)])
+    if len(mismatch):
+        x, y = mismatch[0]
+        return fail("induced order differs", (irr[x], irr[y]))
     enc_inc = {frozenset((ideal_of[p], ideal_of[q])) for p, q in
                (tuple(pair) for pair in ppip.inconsistent)}
     if enc_inc != set(ppip2.inconsistent):
@@ -439,3 +416,38 @@ def birkhoff_roundtrip(L: Semilattice) -> dict:
         return fail("induced collinearity differs",
                     sorted(map(str, enc_col.symmetric_difference(ppip2.collinear)))[:3])
     return {"ok": True, "phi": phi, "psi": psi, "points": ideal_of}
+
+
+# -- index form ----------------------------------------------------------
+
+def _indexed(poset: Poset, members, size: int, rule: str) -> tuple:
+    """Positions of a pair's or triple's points, ascending."""
+    members = frozenset(members)
+    if len(members) != size:
+        raise InputError(f"{rule} distinct elements: {sorted(map(str, members))}")
+    return tuple(sorted(map(poset.index, members)))
+
+
+def _masks(matrix: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as an integer whose bit j is entry (i, j)."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(matrix, axis=1, bitorder="little")]
+
+
+def _bitmask(points: Iterable[int]) -> int:
+    mask = 0
+    for i in points:
+        mask |= 1 << i
+    return mask
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

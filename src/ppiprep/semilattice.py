@@ -67,15 +67,10 @@ class Semilattice(Poset):
                 raise failure(i, down[glb] != sizes,
                               "not a meet-semilattice: {} have no greatest common lower bound")
             meet[i] = glb
-
+        # with every meet present, the meet of a pair's upper bounds is its least one
+        for i in range(n):
             ub = Z[i] & Z                           # ub[j, w] = i <= w and j <= w
-            usizes = ub.sum(axis=1)
-            lub = np.where(ub, up, -1).argmax(axis=1)
-            bad = (usizes > 0) & (up[lub] != usizes)
-            if bad.any():
-                # only when some pair of upper bounds has no meet, in a later row
-                raise failure(i, bad, "upper bounds of {} have no least member")
-            join[i] = np.where(usizes > 0, lub, -1)
+            join[i] = np.where(ub.any(axis=1), np.where(ub, up, -1).argmax(axis=1), -1)
         self._meet_table = meet
         self._join_table = join
         # with total meets the minimum is the unique element below all others
