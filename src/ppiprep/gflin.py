@@ -7,9 +7,11 @@ the maximum vanishing subspace problem for partitioned matrices, greedy
 maximal chains of consistent subspaces, and the chain-driven block-triangular
 decomposition.
 
-The decomposition pipeline is: enumerate the maximum vanishing tuples as the
-minimizer set of a sum of local terms over a product of subspace lattices
-(column-side lattices in reverse inclusion order), represent that set by the
+The decomposition pipeline is: enumerate the row-side subspace tuples X,
+read each column block's largest vanishing subspace off as the common kernel
+K(X) of the row forms, and keep the tuples (X, K(X)) of maximum total
+dimension, a meet/join-closed set in the product of subspace lattices
+(column-side lattices in reverse inclusion order); represent that set by the
 point-line structure on its join-irreducible members, walk a greedy maximal
 chain of consistent subspaces, and turn the chain into changes of bases that
 expose a stage-by-stage zero pattern.  The zero pattern is asserted entry by
@@ -18,7 +20,7 @@ entry, so a successful return certifies the transform.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .poset import Poset
 from .ppip import Ppip, check_axioms, is_consistent_subspace, subspace_closure
-from .product import MembershipOracle, build_ppip, oracle_from_minimizers
+from .product import MembershipOracle, build_ppip, oracle_from_minimizers, oracle_from_set
 from .semilattice import Semilattice, induced_relations, inclusion_matrix
 
 
@@ -37,6 +39,16 @@ def _check_prime(p) -> int:
     if any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         raise InputError(f"field order must be prime, got {p}")
     return p
+
+
+def _integers(xs, what: str) -> tuple[int, ...]:
+    """A list of integers read from input; bools, floats and strings are refused."""
+    if not isinstance(xs, (list, tuple)):
+        raise InputError(f"{what} must be a list of integers, got {xs!r}")
+    for x in xs:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise InputError(f"non-integer {x!r} in {what}")
+    return tuple(int(x) for x in xs)
 
 
 # -- row reduction --------------------------------------------------------
@@ -92,7 +104,9 @@ class GFMatrix:
 
     def __init__(self, entries, p: int, cols: int | None = None):
         self.p = _check_prime(p)
-        rows = [tuple(int(x) % p for x in row) for row in entries]
+        if not isinstance(entries, (list, tuple)):
+            raise InputError(f"matrix entries must be a list of rows, got {entries!r}")
+        rows = [tuple(x % p for x in _integers(row, "matrix row")) for row in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -372,8 +386,8 @@ class PartitionedMatrix:
 
     def __init__(self, entries, row_blocks, col_blocks, p: int):
         self.p = _check_prime(p)
-        self.row_blocks = tuple(int(m) for m in row_blocks)
-        self.col_blocks = tuple(int(n) for n in col_blocks)
+        self.row_blocks = _integers(row_blocks, "row block sizes")
+        self.col_blocks = _integers(col_blocks, "column block sizes")
         if not self.row_blocks or any(m < 1 for m in self.row_blocks):
             raise InputError(f"row block sizes must be positive, got {list(self.row_blocks)}")
         if not self.col_blocks or any(n < 1 for n in self.col_blocks):
@@ -448,56 +462,45 @@ def vanishes(A: PartitionedMatrix, t: VanishingTuple) -> bool:
         if s.ambient_dim != A.col_blocks[beta] or s.p != A.p:
             raise InputError(f"column subspace {beta} lives in GF({s.p})^{s.ambient_dim}, "
                              f"expected GF({A.p})^{A.col_blocks[beta]}")
-    for alpha in range(A.mu):
-        for beta in range(A.nu):
-            blk = A.block(alpha, beta).entries
-            for u in t.X[alpha].basis:
-                wu = [sum(u[i] * blk[i][j] for i in range(len(u))) % A.p
-                      for j in range(A.col_blocks[beta])]
-                for v in t.Y[beta].basis:
-                    if sum(w * x for w, x in zip(wu, v)) % A.p:
-                        return False
-    return True
+    return all(y.leq(k) for y, k in zip(t.Y, _column_kernels(A, t.X)))
 
 
 # -- maximum vanishing subspaces ------------------------------------------
 
-def _vanish_table(block: GFMatrix, LX: Semilattice, LY: Semilattice, p: int) -> dict:
-    table = {}
-    for X in LX.elements:
-        rows = [[sum(u[i] * block.entries[i][j] for i in range(block.rows)) % p
-                 for j in range(block.cols)] for u in X.basis]
-        for Y in LY.elements:
-            table[(X, Y)] = all(sum(w * x for w, x in zip(wu, v)) % p == 0
-                                for wu in rows for v in Y.basis)
-    return table
+def _column_kernels(A: PartitionedMatrix, X) -> list[Subspace]:
+    """Per column block beta, the common kernel K_beta(X) of the row forms
+    u^T A_{alpha beta}, u in X_alpha: the largest subspace on which every
+    block form in column beta vanishes against X."""
+    forms = []
+    for alpha, s in enumerate(X):
+        band = A.matrix.entries[A._row_offsets[alpha]:A._row_offsets[alpha] + A.row_blocks[alpha]]
+        forms += [[sum(c * x for c, x in zip(u, col)) % A.p for col in zip(*band)]
+                  for u in s.basis]
+    return [Subspace(n, A.p, tuple(_kernel([f[c0:c0 + n] for f in forms], n, A.p)))
+            for c0, n in zip(A._col_offsets, A.col_blocks)]
 
 
 def mvsp_solve(A: PartitionedMatrix, budget: int = 10 ** 6) -> tuple[int, MembershipOracle]:
     """Maximize the total dimension over all vanishing tuples.
 
-    Solved as minimization of -sum(dim X) - sum(dim Y) plus an indicator per
-    block, over the product of subspace lattices with the column side in
-    reverse inclusion order.  Returns the optimum and the oracle over the
-    validated meet/join-closed minimizer set; the oracle carries the members
-    as flat tuples (row subspaces then column subspaces) and feeds the
-    point-line constructor directly.
+    For fixed row subspaces X, each column block's largest vanishing
+    subspace is the common kernel K(X) of the row forms, so only the row
+    side is enumerated, minimizing -sum(dim X) - sum(dim K(X)); ``budget``
+    caps the row tuples, the product of the row lattice sizes.  Returns the
+    optimum and the oracle over the validated meet/join-closed set of
+    maximum tuples (X, K(X)), column side in reverse inclusion order; its
+    members are flat tuples (row subspaces then column subspaces) and feed
+    the point-line constructor directly.
     """
-    lats = [subspace_lattice(m, A.p) for m in A.row_blocks] + \
-           [subspace_lattice(n, A.p, reverse=True) for n in A.col_blocks]
-    terms = []
-    for c in range(A.mu + A.nu):
-        terms.append(([c], lambda s: -s.dim))
-    for alpha in range(A.mu):
-        for beta in range(A.nu):
-            table = _vanish_table(A.block(alpha, beta), lats[alpha], lats[A.mu + beta], A.p)
-            terms.append(([alpha, A.mu + beta],
-                          lambda X, Y, _t=table: 0.0 if _t[(X, Y)] else math.inf))
-    oracle = oracle_from_minimizers(terms, lats, budget=budget)
-    assert oracle.minimum != math.inf  # the all-zero row side always vanishes
-    optimum = -oracle.minimum
-    assert float(optimum).is_integer()
-    return int(optimum), oracle
+    rows = [subspace_lattice(m, A.p) for m in A.row_blocks]
+    cols = [subspace_lattice(n, A.p, reverse=True) for n in A.col_blocks]
+
+    def value(*X) -> int:
+        return -sum(s.dim for s in X) - sum(k.dim for k in _column_kernels(A, X))
+
+    best = oracle_from_minimizers([(range(A.mu), value)], rows, budget=budget)
+    lifted = [X + tuple(_column_kernels(A, X)) for X in best.members]
+    return int(-best.minimum), oracle_from_set(lifted, rows + cols)
 
 
 # -- greedy maximal chains ------------------------------------------------

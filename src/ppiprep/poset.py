@@ -39,7 +39,11 @@ class Poset:
         self.elements: list[Element] = list(elements)
         self._index: dict[Element, int] = {}
         for pos, el in enumerate(self.elements):
-            if el in self._index:
+            try:
+                duplicate = el in self._index
+            except TypeError:
+                raise InputError(f"unhashable element: {el!r}") from None
+            if duplicate:
                 raise InputError(f"duplicate element: {el!r}")
             self._index[el] = pos
         n = len(self.elements)
@@ -84,7 +88,7 @@ class Poset:
     def index(self, x: Element) -> int:
         try:
             return self._index[x]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"unknown element: {x!r}") from None
 
     def leq(self, x: Element, y: Element) -> bool:
@@ -100,37 +104,7 @@ class Poset:
     def sort_canonical(self, xs: Iterable[Element]) -> list[Element]:
         return sorted(xs, key=self.index)
 
-    # -- ideals and bounds -----------------------------------------------
-
-    def principal_ideal(self, x: Element) -> list[Element]:
-        """All elements ``<= x``, in canonical order."""
-        col = self.leq_matrix[:, self.index(x)]
-        return [self.elements[i] for i in np.flatnonzero(col)]
-
-    def principal_filter(self, x: Element) -> list[Element]:
-        row = self.leq_matrix[self.index(x)]
-        return [self.elements[i] for i in np.flatnonzero(row)]
-
-    def is_ideal(self, xs: Iterable[Element]) -> bool:
-        """True iff the set is downward closed."""
-        idx = {self.index(x) for x in xs}
-        for i in idx:
-            below = np.flatnonzero(self.leq_matrix[:, i])
-            if not all(int(b) in idx for b in below):
-                return False
-        return True
-
-    def upper_bounds(self, xs: Iterable[Element]) -> list[Element]:
-        mask = np.ones(len(self.elements), dtype=bool)
-        for x in xs:
-            mask &= self.leq_matrix[self.index(x)]
-        return [self.elements[i] for i in np.flatnonzero(mask)]
-
-    def lower_bounds(self, xs: Iterable[Element]) -> list[Element]:
-        mask = np.ones(len(self.elements), dtype=bool)
-        for x in xs:
-            mask &= self.leq_matrix[:, self.index(x)]
-        return [self.elements[i] for i in np.flatnonzero(mask)]
+    # -- extremal elements, covers and subposets ---------------------------
 
     def minimal_elements(self, xs: Iterable[Element] | None = None) -> list[Element]:
         idx = sorted(self.index(x) for x in xs) if xs is not None else list(range(len(self.elements)))
@@ -180,7 +154,7 @@ class Poset:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poset":
-        if not isinstance(data, dict) or "elements" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
             raise InputError("poset JSON must be an object with an 'elements' list")
         covers = data.get("covers", [])
         try:

@@ -121,8 +121,12 @@ class Ppip:
     @classmethod
     def from_json(cls, data: dict) -> "Ppip":
         poset = Poset.from_json(data)
-        return cls(poset, [frozenset(p) for p in data.get("inconsistent", [])],
-                   [frozenset(t) for t in data.get("collinear", [])])
+        try:
+            inconsistent = [frozenset(p) for p in data.get("inconsistent", [])]
+            collinear = [frozenset(t) for t in data.get("collinear", [])]
+        except TypeError:
+            raise InputError("'inconsistent' and 'collinear' must be lists of element lists") from None
+        return cls(poset, inconsistent, collinear)
 
     def to_dot(self, name: str = "ppip") -> str:
         """Hasse diagram plus dashed minimal inconsistent pairs and boxed triples."""

@@ -243,3 +243,66 @@ def test_malformed_implications_are_input_errors(tmp_path, capsys, name, text):
     code, out, err = run(capsys, "closure", "--input", str(path), "--set", "a")
     assert code == 2
     assert out == "" and err.startswith("input error:")
+
+
+def _matrix(**changes):
+    data = {"p": 2, "row_blocks": [1, 1], "col_blocks": [2], "entries": [[1, 0], [0, 1]]}
+    return dict(data, **changes)
+
+
+def _form(entries):
+    return {"p": 2, "entries": entries}
+
+
+_BAD_NUMBERS = [
+    ("mvsp", "string-entry", _matrix(entries=[[1, "a"], [0, 1]])),
+    ("mvsp", "non-list-row", _matrix(entries=[[1, 0], 5])),
+    ("mvsp", "float-entry", _matrix(entries=[[1.5, 0], [0, 1]])),
+    ("mvsp", "bool-entry", _matrix(entries=[[True, 0], [0, 1]])),
+    ("mvsp", "float-block-size", _matrix(row_blocks=[1.7, 1])),
+    ("mvsp", "scalar-blocks", _matrix(col_blocks=2)),
+    ("dm-decompose", "string-entry", _matrix(entries=[[1, "a"], [0, 1]])),
+    ("dm-decompose", "float-entry", _matrix(entries=[[1.5, 0], [0, 1]])),
+    ("dm-decompose", "bool-block-size", _matrix(col_blocks=[True, 1])),
+    ("polar", "string-entry", _form([[0, "a"], ["a", 0]])),
+    ("polar", "non-list-row", _form([[0, 1], 5])),
+    ("polar", "float-entry", _form([[0, 1.5], [1.5, 0]])),
+    ("polar", "bool-entry", _form([[0, True], [True, 0]])),
+]
+
+
+@pytest.mark.parametrize("command, data", [(c, d) for c, _, d in _BAD_NUMBERS],
+                         ids=[f"{c}-{name}" for c, name, _ in _BAD_NUMBERS])
+def test_non_integer_matrix_input_is_input_error(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = "--form" if command == "polar" else "--input"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command, data", [
+    ("validate", {"elements": [[1], "a"]}),
+    ("validate", {"elements": ["a", "b"], "covers": [[[1], "a"]]}),
+    ("validate", {"elements": 5}),
+    ("ppip", {"elements": ["a", "b"], "inconsistent": [[[1], "a"]]}),
+    ("ppip", {"elements": ["a", "b"], "collinear": [5]}),
+], ids=["unhashable-element", "unhashable-cover", "scalar-elements",
+        "unhashable-pair-member", "scalar-triple"])
+def test_malformed_poset_elements_are_input_errors(tmp_path, capsys, command, data):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command", ["mvsp", "dm-decompose"])
+def test_matrix_budget_caps_row_tuples(capsys, command):
+    # the fixture has 5^3 = 125 row tuples
+    path = str(DATA / "matrix_6x6.json")
+    code, _, err = run(capsys, command, "--input", path, "--budget", "100")
+    assert code == 3
+    assert "125 tuples" in err
+    assert run(capsys, command, "--input", path, "--budget", "125")[0] == 0

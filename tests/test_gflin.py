@@ -317,15 +317,30 @@ def test_vanishing_tuple_shape_checked():
 
 # -- MVSP ----------------------------------------------------------------
 
-def brute_mvsp(A: PartitionedMatrix) -> int:
+def bilinear_vanishes(A: PartitionedMatrix, X, Y) -> bool:
+    """u^T A_{alpha beta} v = 0 for all basis vectors, read off the matrix entries."""
+    M = A.matrix.entries
+    r0s = [sum(A.row_blocks[:a]) for a in range(A.mu)]
+    c0s = [sum(A.col_blocks[:b]) for b in range(A.nu)]
+    return all(sum(u[i] * M[r0 + i][c0 + j] * v[j]
+                   for i in range(len(u)) for j in range(len(v))) % A.p == 0
+               for r0, x in zip(r0s, X) for u in x.basis
+               for c0, y in zip(c0s, Y) for v in y.basis)
+
+
+def brute_mvsp(A: PartitionedMatrix) -> set:
+    """Every vanishing tuple of maximum total dimension, over the full product."""
     factors = [all_subspaces(m, A.p) for m in A.row_blocks] + \
               [all_subspaces(n, A.p) for n in A.col_blocks]
-    best = -1
+    best, argmax = -1, set()
     for combo in itertools.product(*factors):
-        t = VanishingTuple(combo[:A.mu], combo[A.mu:])
-        if vanishes(A, t):
-            best = max(best, t.total_dim)
-    return best
+        if bilinear_vanishes(A, combo[:A.mu], combo[A.mu:]):
+            total = sum(s.dim for s in combo)
+            if total > best:
+                best, argmax = total, {combo}
+            elif total == best:
+                argmax.add(combo)
+    return argmax
 
 
 def expected_irreducibles():
@@ -369,20 +384,57 @@ def test_zero_matrix_mvsp():
 
 
 def test_mvsp_budget():
+    # the budget caps the row tuples: the fixture has 5^3 = 125 of them
     with pytest.raises(BudgetError):
         mvsp_solve(matrix_6x6(), budget=100)
+    optimum, _ = mvsp_solve(matrix_6x6(), budget=125)
+    assert optimum == 6
+
+
+def test_five_by_five_blocks_within_default_budget():
+    # 5^10 tuples in the full product, 5^5 row tuples
+    rng = random.Random(20261018)
+    ent = [[rng.randrange(2) for _ in range(10)] for _ in range(10)]
+    A = PartitionedMatrix(ent, [2] * 5, [2] * 5, 2)
+    optimum, oracle = mvsp_solve(A)
+    assert oracle.members
+    for m in oracle.members:
+        assert sum(s.dim for s in m) == optimum
+        assert bilinear_vanishes(A, m[:A.mu], m[A.mu:])
+
+
+MVSP_SHAPES = [([1], [1]), ([2], [2]), ([1, 1], [2]), ([2, 1], [1, 2]), ([1, 2], [2, 1]),
+               ([3], [2]), ([1], [3])]
+
+
+def random_partitioned(rng) -> PartitionedMatrix:
+    rb, cb = rng.choice(MVSP_SHAPES)
+    p = rng.choice([2, 2, 3, 5])
+    ent = [[rng.randrange(p) for _ in range(sum(cb))] for _ in range(sum(rb))]
+    return PartitionedMatrix(ent, rb, cb, p)
 
 
 def test_random_mvsp_matches_brute_force():
     rng = random.Random(20260822)
-    shapes = [([1], [1]), ([2], [2]), ([1, 1], [2]), ([2, 1], [1, 2]), ([1, 2], [2, 1])]
-    for _ in range(12):
-        rb, cb = rng.choice(shapes)
-        p = rng.choice([2, 2, 3])
-        ent = [[rng.randrange(p) for _ in range(sum(cb))] for _ in range(sum(rb))]
-        A = PartitionedMatrix(ent, rb, cb, p)
-        optimum, _ = mvsp_solve(A)
-        assert optimum == brute_mvsp(A)
+    for _ in range(16):
+        A = random_partitioned(rng)
+        optimum, oracle = mvsp_solve(A)
+        expected = brute_mvsp(A)
+        assert set(oracle.members) == expected
+        assert {sum(s.dim for s in m) for m in expected} == {optimum}
+
+
+def test_vanishes_matches_bilinear_evaluation():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(40):
+        A = random_partitioned(rng)
+        X = tuple(rng.choice(all_subspaces(m, A.p)) for m in A.row_blocks)
+        Y = tuple(rng.choice(all_subspaces(n, A.p)) for n in A.col_blocks)
+        want = bilinear_vanishes(A, X, Y)
+        assert vanishes(A, VanishingTuple(X, Y)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # -- maximal chains ------------------------------------------------------
@@ -503,7 +555,8 @@ def test_random_decompositions_hold_invariants():
         ent = [[rng.randrange(p) for _ in range(sum(cb))] for _ in range(sum(rb))]
         A = PartitionedMatrix(ent, rb, cb, p)
         dm = dm_decompose(A)  # identity and zero blocks asserted inside
-        assert dm.optimum == brute_mvsp(A)
+        expected = brute_mvsp(A)
+        assert all(t.X + t.Y in expected for t in dm.chain)
         assert all(t.total_dim == dm.optimum for t in dm.chain)
         assert sum(r for r, _ in dm.stages) == sum(rb)
         assert sum(c for _, c in dm.stages) == sum(cb)

@@ -59,26 +59,8 @@ def test_redundant_relations_reduce_to_covers():
     assert set(p.covers) == {("a", "b"), ("b", "c")}
 
 
-def test_principal_ideal_and_filter():
-    p = diamond()
-    assert p.principal_ideal("1") == ["0", "a", "b", "1"]
-    assert p.principal_ideal("a") == ["0", "a"]
-    assert p.principal_filter("0") == ["0", "a", "b", "1"]
-    assert p.principal_filter("b") == ["b", "1"]
-
-
-def test_is_ideal():
-    p = diamond()
-    assert p.is_ideal({"0", "a"})
-    assert p.is_ideal(set())
-    assert not p.is_ideal({"a"})
-    assert not p.is_ideal({"0", "1"})
-
-
 def test_bounds():
     p = diamond()
-    assert p.upper_bounds(["a", "b"]) == ["1"]
-    assert p.lower_bounds(["a", "b"]) == ["0"]
     assert p.minimal_elements(["a", "b", "1"]) == ["a", "b"]
     assert p.maximal_elements(["0", "a", "b"]) == ["a", "b"]
 
