@@ -1,6 +1,7 @@
 """Golden outputs: stdout and emitted JSON of each subcommand on the
-fixtures, and the ``check_axioms`` verdict and witness on seeded point-line
-structures, must match the files under ``tests/data/golden/`` byte for byte.
+fixtures, the ``check_axioms`` verdict and witness on seeded point-line
+structures, and the modularity verdict and witness on seeded orders, must
+match the files under ``tests/data/golden/`` byte for byte.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff before committing it.
@@ -15,11 +16,13 @@ from itertools import combinations
 import pytest
 
 from ppiprep.cli import main
+from ppiprep.errors import NotSemilatticeError
 from ppiprep.gflin import subspace_lattice
 from ppiprep.ppip import Ppip, check_axioms, induced_ppip
 from ppiprep.semilattice import Semilattice
 
-from helpers import DATA, as_semilattice, make_c3, make_m3, make_s2, make_s3, product_universe
+from helpers import (DATA, as_semilattice, make_c2, make_c3, make_m3, make_n5_poset_json, make_s2, make_s3,
+                     product_universe)
 
 GOLDEN = DATA / "golden"
 
@@ -131,6 +134,97 @@ def test_axiom_golden_covers_every_axiom():
                      "collinear-consistent", "consistent-with-line"}
 
 
+# -- modularity verdicts ---------------------------------------------------
+
+def random_order(rng: random.Random, with_bottom: bool) -> tuple[list[str], list]:
+    """Up to ten elements ``e0 .. e{n-1}``, each pair (i < j) related with
+    a drawn density, listed in a shuffled order; ``with_bottom`` puts e0
+    below every other element."""
+    labels = [f"e{i}" for i in range(rng.randint(1, 10))]
+    density = rng.choice((0.15, 0.3, 0.5, 0.7))
+    rel = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < density]
+    if with_bottom:
+        rel += [(labels[0], b) for b in labels[1:]]
+    order = labels[:]
+    rng.shuffle(order)
+    return order, rel
+
+
+def _m(k: int) -> tuple[list[str], list]:
+    atoms = [f"a{i}" for i in range(k)]
+    return ["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+
+
+def _partition_lattice(m: int) -> tuple[list[str], list]:
+    """The partitions of {0..m-1} under refinement, finest first."""
+    parts = [[]]
+    for x in range(m):
+        parts = [p[:i] + [b + [x]] + p[i + 1:] for p in parts for i, b in enumerate(p)] + \
+                [p + [[x]] for p in parts]
+    parts.sort(key=lambda p: (-len(p), sorted(p)))
+    name = ["|".join("".join(map(str, b)) for b in sorted(p)) for p in parts]
+    rel = [(name[i], name[j]) for i, p in enumerate(parts) for j, q in enumerate(parts)
+           if i != j and all(any(set(b) <= set(c) for c in q) for b in p)]
+    return name, rel
+
+
+def _as_case(lat: Semilattice) -> tuple[list, object]:
+    return lat.elements, lat.leq_matrix
+
+
+def modular_cases() -> list[tuple[str, list, object]]:
+    n5 = make_n5_poset_json()
+    cases = [
+        ("N5", n5["elements"], [tuple(c) for c in n5["covers"]]),
+        ("Pi4", *_partition_lattice(4)),
+        ("triple-join", ["bot", "a", "b", "c", "ab", "bc", "ca"],
+         [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "ab"), ("b", "ab"), ("b", "bc"),
+          ("c", "bc"), ("c", "ca"), ("a", "ca")]),
+        *((f"M{k}", *_m(k)) for k in range(3, 7)),
+        ("M3xC2", *_as_case(_product(make_m3(), make_c2()))),
+        ("M3xM3", *_as_case(_product(make_m3(), make_m3()))),
+        ("L(3,3)", *_as_case(subspace_lattice(3, 3))),
+    ]
+    rng = random.Random(20261019)
+    for with_bottom, count in ((False, 140), (True, 150)):
+        tag = "bottom" if with_bottom else "order"
+        cases += [(f"{tag}#{k}", *random_order(rng, with_bottom)) for k in range(count)]
+    return cases
+
+
+def modular_verdicts() -> list[dict]:
+    out = []
+    for name, elements, relations in modular_cases():
+        index = {x: i for i, x in enumerate(elements)}
+        try:
+            lat = Semilattice(elements, relations)
+        except NotSemilatticeError as exc:
+            out.append({"structure": name, "error": str(exc), "witness": _encode(exc.witness, index)})
+            continue
+        ok, witness = lat.is_modular_semilattice()
+        if witness is not None:
+            witness = {"condition": witness["condition"], "triple": _encode(witness["triple"], index)}
+        out.append({"structure": name, "ok": ok, "witness": witness})
+    return out
+
+
+def _modular_text() -> str:
+    return json.dumps(modular_verdicts(), indent=1, sort_keys=True) + "\n"
+
+
+def test_modular_verdicts_match_golden():
+    assert _modular_text() == (GOLDEN / "modular.json").read_text(encoding="utf-8")
+
+
+def test_modular_golden_covers_every_outcome():
+    golden = json.loads((GOLDEN / "modular.json").read_text(encoding="utf-8"))
+    outcomes = {case["witness"]["condition"] if case.get("witness") and "ok" in case
+                else case["error"].split(" have ")[-1] if "error" in case else "modular"
+                for case in golden}
+    assert outcomes == {"modular", "modular-law", "triple-join",
+                        "no common lower bound", "no greatest common lower bound"}
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (_, argv) in sorted(CASES.items()):
@@ -139,6 +233,7 @@ def _regenerate() -> None:
             main(_argv(argv, GOLDEN / f"{name}.json"))
         (GOLDEN / f"{name}.out").write_text(buf.getvalue(), encoding="utf-8")
     (GOLDEN / "axioms.json").write_text(_axiom_text(), encoding="utf-8")
+    (GOLDEN / "modular.json").write_text(_modular_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
