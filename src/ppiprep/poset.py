@@ -7,6 +7,7 @@ order so outputs are stable.  The order relation is carried as a dense
 boolean matrix: a caller that already knows an order passes its matrix, and
 pairs are only for orders read from outside.  The stored covers are always
 the transitive reduction, recomputed at construction from either form.
+Products of boolean matrices go through BLAS as ``count_product``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class Poset:
         entry (i, j) says element i lies below element j (the diagonal is
         ignored).  Any relation whose transitive closure is acyclic is
         accepted; covers are recomputed from scratch.
+
+    The closure is taken by repeated squaring, each square one float32
+    ``count_product``; its counts are exact below 2**24 elements.
     """
 
     def __init__(self, elements: Sequence[Element],
@@ -60,7 +64,7 @@ class Poset:
                     raise InputError(f"cycle: element {a!r} related to itself")
                 closure[ia, ib] = True
         while True:
-            square = closure @ closure
+            square = count_product(closure, closure) > 0
             if not (square & ~closure).any():
                 break
             closure = closure | square
@@ -74,7 +78,7 @@ class Poset:
         self._cover_matrix = red
         # argwhere is row-major, which is the canonical order of pairs
         self.covers: list[tuple[Element, Element]] = [
-            (self.elements[i], self.elements[j]) for i, j in np.argwhere(red)
+            (self.elements[i], self.elements[j]) for i, j in np.argwhere(red).tolist()
         ]
 
     # -- basic queries ---------------------------------------------------
@@ -172,6 +176,18 @@ class Poset:
             lines.append(f'  "{_dot_id(a)}" -> "{_dot_id(b)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def count_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) counts the k with ``a[i, k]`` and ``b[k, j]``, for boolean
+    ``a`` and ``b``; ``> 0`` gives the boolean product.
+
+    One float32 product through BLAS, which numpy does not use for boolean
+    operands.  Every partial sum is an integer no larger than the inner
+    size, and float32 holds every integer below 2**24 exactly, so the
+    counts are exact for inner sizes below 2**24.
+    """
+    return a.astype(np.float32) @ b.astype(np.float32)
 
 
 def _dot_id(el: Element) -> str:

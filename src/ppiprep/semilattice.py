@@ -7,14 +7,28 @@ a pair with a common upper bound automatically has a least one (the meet of
 all common upper bounds), so ``join`` is total exactly on pairs that are
 bounded above and ``None`` marks a nonexistent join.
 
-The modularity test checks two conditions:
+The tables are built along covers, elements visited by ideal size.  When
+i <= j the meet of i and j is i; otherwise every common lower bound lies
+below a lower cover c of i, so the meet is the meet of (c, j) with the
+largest ideal.  A candidate is the meet exactly when its ideal is as large
+as the number of common lower bounds, read off one product of the order
+with itself.  Joins are dual, along upper covers.
+
+A modular semilattice satisfies two conditions:
 
 * the modular law ``a ∨ (b ∧ c) = (a ∨ b) ∧ c`` for all triples with
   ``a ≤ c`` lying in a common principal ideal (equivalently, with ``b ∨ c``
   existing), which makes every principal ideal a modular lattice; and
 * the triple-join condition: three pairwise-joinable elements have a join.
 
-Both scans report the first violation in canonical element order.
+The first is decided by rank.  A finite lattice is modular exactly when it
+is graded and its height h satisfies h(x) + h(y) = h(x ∧ y) + h(x ∨ y)
+(Birkhoff), and every principal ideal shares the minimum, so one global
+height serves them all: every lower cover of an element must have the same
+height, and the identity must hold on every pair with a join.  The second
+needs no check when every pair has a join.  Only a rejection runs the
+search of both conditions over all triples, so every witness is the first
+violation in canonical element order.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotSemilatticeError
-from .poset import Element, Poset
+from .poset import Element, Poset, count_product
 
 
 class Semilattice(Poset):
@@ -40,43 +54,33 @@ class Semilattice(Poset):
         return cls(poset.elements, poset.leq_matrix)
 
     def _build_tables(self) -> None:
-        """Meets and joins read off ideal sizes: the meet of i and j is the
-        common lower bound with the largest principal ideal, valid exactly
-        when that ideal holds every common lower bound; joins are dual."""
+        """Meets along lower covers, checked against the common lower bound
+        counts; a failure names the lowest failing row, with a missing
+        common lower bound before a missing greatest one.  Joins are dual."""
         n = len(self.elements)
         if n == 0:
             raise NotSemilatticeError("empty semilattice has no minimum")
         Z = self.leq_matrix
-        below = np.ascontiguousarray(Z.T)           # below[x, w] = w <= x
-        down = Z.sum(axis=0)                        # principal ideal sizes
-        up = Z.sum(axis=1)                          # principal filter sizes
-        meet = np.empty((n, n), dtype=np.int32)
-        join = np.empty((n, n), dtype=np.int32)
-
-        def failure(i: int, bad: np.ndarray, message: str) -> NotSemilatticeError:
-            a, b = self.elements[i], self.elements[int(np.flatnonzero(bad)[0])]
-            return NotSemilatticeError(message.format(f"{a!r} and {b!r}"), witness=(a, b))
-
-        for i in range(n):
-            lb = below[i] & below                   # lb[j, w] = w <= i and w <= j
-            sizes = lb.sum(axis=1)
-            if not sizes.all():
-                raise failure(i, sizes == 0, "not a meet-semilattice: {} have no common lower bound")
-            glb = np.where(lb, down, -1).argmax(axis=1)
-            if (down[glb] != sizes).any():
-                raise failure(i, down[glb] != sizes,
-                              "not a meet-semilattice: {} have no greatest common lower bound")
-            meet[i] = glb
-        # with every meet present, the meet of a pair's upper bounds is its least one
-        for i in range(n):
-            ub = Z[i] & Z                           # ub[j, w] = i <= w and j <= w
-            join[i] = np.where(ub.any(axis=1), np.where(ub, up, -1).argmax(axis=1), -1)
+        down = Z.sum(axis=0, dtype=np.int32)         # principal ideal sizes
+        up = Z.sum(axis=1, dtype=np.int32)           # principal filter sizes
+        meet = _meets_along_covers(Z, self._cover_matrix.T, down)
+        common = count_product(Z.T, Z)               # common lower bounds per pair
+        none = common == 0
+        bad = none | (np.append(down, -1)[meet] != common)
+        del common
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=1))[0])
+            missing = none[i].any()
+            j = int(np.flatnonzero(none[i] if missing else bad[i])[0])
+            a, b = self.elements[i], self.elements[j]
+            what = "no common lower bound" if missing else "no greatest common lower bound"
+            raise NotSemilatticeError(f"not a meet-semilattice: {a!r} and {b!r} have {what}",
+                                      witness=(a, b))
+        # with every meet present, a pair bounded above has a least upper bound
         self._meet_table = meet
-        self._join_table = join
-        # with total meets the minimum is the unique element below all others
-        mins = np.flatnonzero(up == n)
-        assert len(mins) == 1
-        self._min_index = int(mins[0])
+        self._join_table = _meets_along_covers(np.ascontiguousarray(Z.T), self._cover_matrix, up)
+        # and the minimum is the one element below all others
+        self._min_index = int(up.argmax())
 
     # -- lattice operations ----------------------------------------------
 
@@ -132,6 +136,31 @@ class Semilattice(Poset):
         return self._modular_cache
 
     def _check_modular(self) -> tuple[bool, dict | None]:
+        witness = None
+        if not self._modular_by_rank():
+            witness = self._modular_law_violation()
+        if witness is None and not (self._join_table >= 0).all():
+            witness = self._triple_join_violation()
+        return witness is None, witness
+
+    def _modular_by_rank(self) -> bool:
+        """Whether every principal ideal is graded and its height satisfies
+        h(x) + h(y) = h(x ∧ y) + h(x ∨ y) on every pair with a join."""
+        n = len(self.elements)
+        lower = [[] for _ in range(n)]
+        for c, x in np.argwhere(self._cover_matrix).tolist():
+            lower[x].append(c)
+        height = [0] * n
+        for x in np.argsort(self.leq_matrix.sum(axis=0), kind="stable").tolist():
+            below = {height[c] for c in lower[x]}
+            if len(below) > 1:
+                return False
+            height[x] = below.pop() + 1 if below else 0
+        h = np.array(height, dtype=np.int32)
+        J = self._join_table
+        return bool(((h[:, None] + h == h[self._meet_table] + h[J]) | (J < 0)).all())
+
+    def _modular_law_violation(self) -> dict | None:
         n = len(self.elements)
         Z = self.leq_matrix
         M = self._meet_table
@@ -142,32 +171,31 @@ class Semilattice(Poset):
             domain = exists & Z[a][None, :]        # domain[b, c]: b∨c exists and a <= c
             if not domain.any():
                 continue
-            ja = J[a]                              # a∨b per b; exists on the domain
+            # a, b <= b∨c, so a∨b and a∨(b∧c) exist on the domain
             lhs = J[a, M]                          # a ∨ (b ∧ c)
-            rhs = M[np.clip(ja, 0, None)[:, None], cols]  # (a ∨ b) ∧ c
-            assert ((ja[:, None] >= 0) | ~domain).all() and ((lhs >= 0) | ~domain).all()
+            rhs = M[np.clip(J[a], 0, None)[:, None], cols]  # (a ∨ b) ∧ c
             bad = domain & (lhs != rhs)
             if bad.any():
                 b, c = map(int, np.argwhere(bad)[0])
-                return False, {
-                    "condition": "modular-law",
-                    "triple": (self.elements[a], self.elements[b], self.elements[c]),
-                }
-        for x in range(n):
+                return {"condition": "modular-law",
+                        "triple": (self.elements[a], self.elements[b], self.elements[c])}
+        return None
+
+    def _triple_join_violation(self) -> dict | None:
+        J = self._join_table
+        exists = J >= 0
+        for x in range(len(self.elements)):
             jx = exists[x]
             pairwise = jx[:, None] & jx[None, :] & exists
             if not pairwise.any():
                 continue
-            u = np.clip(J[x], 0, None)
-            triple = exists[u]                     # triple[y, z]: (x∨y)∨z exists
+            triple = exists[np.clip(J[x], 0, None)]  # triple[y, z]: (x∨y)∨z exists
             bad = pairwise & ~triple
             if bad.any():
                 y, z = map(int, np.argwhere(bad)[0])
-                return False, {
-                    "condition": "triple-join",
-                    "triple": (self.elements[x], self.elements[y], self.elements[z]),
-                }
-        return True, None
+                return {"condition": "triple-join",
+                        "triple": (self.elements[x], self.elements[y], self.elements[z])}
+        return None
 
     def is_median_semilattice(self) -> tuple[bool, dict | None]:
         """Modular plus distributivity of every principal ideal."""
@@ -192,7 +220,8 @@ class Semilattice(Poset):
             lhs = M[a, np.clip(J, 0, None)]        # a ∧ (b ∨ c)
             ma = M[a]
             rhs = J[ma[:, None], ma[None, :]]      # (a ∧ b) ∨ (a ∧ c)
-            assert (rhs >= 0)[domain].all()
+            if not (rhs >= 0)[domain].all():
+                raise AssertionError("a pair of meets below a common upper bound has no join")
             bad = domain & (lhs != rhs)
             if bad.any():
                 b, c = map(int, np.argwhere(bad)[0])
@@ -254,4 +283,29 @@ def inclusion_matrix(sets: Sequence[Iterable]) -> np.ndarray:
     member = np.zeros((len(sets), len(column)), dtype=bool)
     for r, s in enumerate(sets):
         member[r, [column[x] for x in s]] = True
-    return ~(member @ ~member.T)
+    return count_product(member, ~member.T) == 0
+
+
+def _meets_along_covers(leq: np.ndarray, lower: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Candidate meet table of the order ``leq``, built along covers.
+
+    ``lower[x]`` marks the lower covers of x and ``rank`` is a strictly
+    monotone size, such as the ideal size.  Rows are filled in increasing
+    rank, and elements are labelled by their place in that order: x ∧ y is
+    x when x <= y, and otherwise the entry (c, y) with the largest label
+    over the lower covers c of x, or -1 when there is none.  Every entry
+    that is not -1 is a common lower bound, and it is the meet whenever the
+    meet exists, for it lies above every other candidate.  On the reversed
+    order, with upper covers and filter sizes, the same recursion gives the
+    joins.
+    """
+    n = len(leq)
+    order = np.argsort(rank, kind="stable").astype(np.int32)
+    label = np.empty(n, dtype=np.int32)
+    label[order] = np.arange(n, dtype=np.int32)
+    table = np.full((n, n), -1, dtype=np.int32)    # labels
+    for x in order.tolist():
+        covers = np.flatnonzero(lower[x])
+        row = table[covers].max(axis=0) if covers.size else table[x]
+        table[x] = np.where(leq[x], label[x], row)
+    return np.append(order, np.int32(-1))[table]

@@ -1,11 +1,14 @@
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ppiprep.errors import InputError
+from ppiprep.gflin import subspace_lattice
 from ppiprep.poset import Poset
+from ppiprep.semilattice import inclusion_matrix
 
 
 def diamond():
@@ -165,3 +168,44 @@ def test_matrix_form_equals_pair_form(case):
     got = Poset(labels, matrix)
     assert got == want
     assert got.covers == want.covers
+
+
+def warshall(n: int, pairs) -> tuple[list[int], list[tuple[int, int]]]:
+    """Strict order rows as bitsets, and the covers in row-major order."""
+    above = [0] * n
+    for i, j in pairs:
+        above[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if above[i] >> k & 1:
+                above[i] |= above[k]
+    below = [sum(1 << i for i in range(n) if above[i] >> j & 1) for j in range(n)]
+    covers = [(i, j) for i in range(n) for j in range(n)
+              if above[i] >> j & 1 and not above[i] & below[j]]
+    return above, covers
+
+
+def _closure_matches_warshall(elements, pairs):
+    p = Poset(elements, [(elements[i], elements[j]) for i, j in pairs])
+    above, covers = warshall(len(elements), pairs)
+    assert [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in p._lt] == above
+    assert p.covers == [(elements[i], elements[j]) for i, j in covers]
+
+
+def test_float_closure_is_exact_on_a_long_chain():
+    # 400 elements in shuffled order, related by their 399 covers only:
+    # nine squarings, with counts up to 398
+    rng = random.Random(400)
+    chain = list(range(400))
+    rng.shuffle(chain)
+    _closure_matches_warshall([f"c{k}" for k in range(400)], list(zip(chain, chain[1:])))
+
+
+def test_float_closure_is_exact_on_subspace_lattice_5_2():
+    lat = subspace_lattice(5, 2)
+    _closure_matches_warshall(lat.elements, [(lat.index(a), lat.index(b)) for a, b in lat.covers])
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=12))
+def test_inclusion_matrix_is_set_inclusion(sets):
+    assert inclusion_matrix(sets).tolist() == [[a <= b for b in sets] for a in sets]

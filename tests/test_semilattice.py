@@ -192,3 +192,44 @@ def test_witness_names_a_real_violation(lat):
         assert lat.has_join(a, b) and lat.has_join(b, c) and lat.has_join(a, c)
         assert not any(lat.leq(a, u) and lat.leq(b, u) and lat.leq(c, u)
                        for u in lat.elements)
+
+
+def modular_by_search(lat: Semilattice) -> dict | None:
+    """The first violation in canonical order: over triples (a, b, c) the
+    modular law, then over triples (x, y, z) the triple-join condition."""
+    els = lat.elements
+    for a, b, c in itertools.product(els, repeat=3):
+        if lat.leq(a, c) and lat.has_join(b, c) \
+                and lat.join(a, lat.meet(b, c)) != lat.meet(lat.join(a, b), c):
+            return {"condition": "modular-law", "triple": (a, b, c)}
+    for x, y, z in itertools.product(els, repeat=3):
+        if lat.has_join(x, y) and lat.has_join(x, z) and lat.has_join(y, z) \
+                and not lat.has_join(lat.join(x, y), z):
+            return {"condition": "triple-join", "triple": (x, y, z)}
+    return None
+
+
+@st.composite
+def orders_with_bottom(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    labels = [f"e{i}" for i in range(n)]
+    rel = [(labels[0], b) for b in labels[1:]]
+    rel += [(labels[i], labels[j]) for i in range(1, n) for j in range(i + 1, n) if draw(st.booleans())]
+    return Poset(draw(st.permutations(labels)), rel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders_with_bottom())
+def test_rank_route_matches_definition_search_and_brute_tables(p):
+    try:
+        lat = Semilattice.from_poset(p)
+    except NotSemilatticeError as exc:
+        assert brute_meet(p, *exc.witness) is None
+        return
+    for a in lat.elements:
+        for b in lat.elements:
+            assert lat.meet(a, b) == brute_meet(p, a, b)
+            assert lat.join(a, b) == brute_join(p, a, b)
+    ok, witness = lat.is_modular_semilattice()
+    assert ok == modular_by_definition(lat)
+    assert witness == modular_by_search(lat)
