@@ -2,7 +2,8 @@
 
 One subcommand per invocation.  Exit codes: 0 success, 1 negative verdict
 (with the witness printed), 2 malformed input, 3 enumeration budget
-exceeded.  Output ordering is canonical everywhere so reruns are stable.
+exceeded, 4 a failed internal certificate (a library defect, not a
+verdict).  Output ordering is canonical everywhere so reruns are stable.
 """
 
 from __future__ import annotations
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         if witness is not None:
             _print_witness(witness)
         return 1
+    except AssertionError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

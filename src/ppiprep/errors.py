@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract: InputError -> 2,
 BudgetError -> 3, verdict-style failures (NotSemilatticeError,
-AxiomError, NotModularError) -> 1.
+AxiomError, NotModularError) -> 1.  A certificate that fails its own check
+raises AssertionError, which the CLI maps to 4.
 """
 
 

@@ -231,12 +231,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim or self.p != other.p:
             raise InputError("subspaces live in different ambient spaces")
 
-    def contains(self, vector) -> bool:
-        v = tuple(int(x) % self.p for x in vector)
-        if len(v) != self.ambient_dim:
-            raise InputError(f"vector {vector!r} does not have {self.ambient_dim} coordinates")
-        return _rank(list(self.basis) + [v], self.ambient_dim, self.p) == self.dim
-
     def leq(self, other: "Subspace") -> bool:
         self._compat(other)
         return _rank(list(other.basis) + list(self.basis), self.ambient_dim, self.p) == other.dim
@@ -253,9 +247,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._compat(other)
         return self.perp().plus(other.perp()).perp()
-
-    def matrix(self) -> GFMatrix:
-        return GFMatrix(self.basis, self.p, cols=self.ambient_dim)
 
     def vectors(self) -> list[tuple[int, ...]]:
         """Every member vector, p^dim of them."""

@@ -463,10 +463,11 @@ def pseudoclosed_sets(sigma: ImplicationalSystem, budget: int = DEFAULT_BUDGET) 
 
     Runs the definitional test over all subset pairs, so the work is 3^|E|,
     charged against ``budget``.  When the family is modular and the system is
-    simple, the structural description (singletons of nonatomic irreducibles,
-    unions of two intermediate ideals of a height-2 interval with at least
-    three intermediates, and quasiclosures of minimal inconsistent pairs) is
-    computed as well and the two routes are required to agree.
+    simple, the sets are also read off the optimal base as the quasiclosures
+    of its premises, pulled back to the ground set: every base of the family
+    has, for each pseudoclosed set, a premise that quasicloses to it, and the
+    optimal base has no premise that quasicloses to anything else.  The two
+    routes are required to agree.
     """
     n = len(sigma.ground)
     if 3 ** n > budget:
@@ -504,9 +505,10 @@ def _crosscheck_structural(sigma: ImplicationalSystem, memo: list, brute_masks: 
     if mapping is None:
         return
     inverse = {t: e for e, t in mapping.items()}
-    structural = set()
-    for s in _structural_pseudoclosed(L):
-        structural.add(sigma._mask([inverse[t] for t in s]))
+    # _build_optimal_base, not optimal_base: only the premises are read, and
+    # the regeneration check fails on lines of four or more points
+    structural = {_quasiclose(memo.__getitem__, sigma._mask(inverse[t] for t in a))
+                  for a, _ in _build_optimal_base(L).implications}
     if structural != brute_masks:
         extra = [sorted(map(str, sigma._unmask(m))) for m in sorted(structural ^ brute_masks)]
         raise AssertionError(f"pseudoclosed routes disagree on {extra}")
@@ -629,33 +631,6 @@ def _simple_bijection(sigma: ImplicationalSystem, L: Semilattice) -> tuple[dict 
         if t not in irr:
             return None, f"closure of {{{e!r}}} is not irreducible"
     return closures, None
-
-
-def _structural_pseudoclosed(L: Semilattice) -> set[frozenset]:
-    """The three structural families of pseudoclosed sets of a modular
-    family, as subsets of its irreducibles."""
-    irr, phi = _phi_map(L)
-    out = set()
-    for q in irr:
-        lower = L.lower_covers(q)
-        if len(lower) == 1 and lower[0] != L.min_element:
-            out.add(frozenset({q}))
-    for y, x, mids in _mn_intervals(L):
-        for z1, z2 in combinations(mids, 2):
-            out.add(phi[z1] | phi[z2])
-    # the family as a closure operator on bitmasks of its irreducibles
-    bit = {p: 1 << i for i, p in enumerate(irr)}
-    phimask = {x: sum(bit[p] for p in phi[x]) for x in L.elements}
-
-    def close(m: int) -> int | None:
-        top = L.join_all(p for p in irr if m & bit[p])
-        return None if top is None else phimask[top]
-
-    ppip = induced_ppip(L)
-    for p, q in ppip.minimal_inconsistent_pairs():
-        m = _quasiclose(close, phimask[p] | phimask[q])
-        out.add(frozenset(r for r in irr if m & bit[r]))
-    return out
 
 
 def optimal_base_from_implications(sigma: ImplicationalSystem,

@@ -86,9 +86,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: Element) -> bool:
-        return x in self._index
-
     def index(self, x: Element) -> int:
         try:
             return self._index[x]

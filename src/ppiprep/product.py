@@ -7,8 +7,7 @@ members with a fixed coordinate value) let every question about B's order
 reduce to single comparisons in the factors, so the whole point-line
 structure of B comes out of polynomially many oracle calls.
 
-Coordinates are 0-based.  The factors may differ per coordinate; the uniform
-case stores the shared factor on the oracle as ``L``.
+Coordinates are 0-based.  The factors may differ per coordinate.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ class MembershipOracle:
             raise InputError("a product needs at least one coordinate")
         if n is not None and n != self.n:
             raise InputError(f"coordinate count {n} does not match {self.n} factors")
-        shared = all(lat is self.lattices[0] for lat in self.lattices)
-        self.L: Semilattice | None = self.lattices[0] if shared else None
         self._fn = query
         self.call_counter: int = 0
         self._cache: dict = {}

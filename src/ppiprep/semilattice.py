@@ -21,11 +21,14 @@ A modular semilattice satisfies two conditions:
   existing), which makes every principal ideal a modular lattice; and
 * the triple-join condition: three pairwise-joinable elements have a join.
 
-The first is decided by rank.  A finite lattice is modular exactly when it
-is graded and its height h satisfies h(x) + h(y) = h(x ∧ y) + h(x ∨ y)
-(Birkhoff), and every principal ideal shares the minimum, so one global
-height serves them all: every lower cover of an element must have the same
-height, and the identity must hold on every pair with a join.  The second
+The first is decided by rank.  Let h be the longest-chain height above the
+minimum; it is strictly monotone.  A finite lattice with a strictly
+monotone h satisfying h(x) + h(y) = h(x ∧ y) + h(x ∨ y) is modular (for
+a ≤ c both sides of the modular law get the same height, and one lies
+below the other), and a modular lattice is graded with h as its rank, which
+satisfies the identity (Birkhoff).  Every principal ideal shares the
+minimum, so one global height serves them all: the identity must hold on
+every pair with a join.  The second
 needs no check when every pair has a join.  Only a rejection runs the
 search of both conditions over all triples, so every witness is the first
 violation in canonical element order.
@@ -144,18 +147,16 @@ class Semilattice(Poset):
         return witness is None, witness
 
     def _modular_by_rank(self) -> bool:
-        """Whether every principal ideal is graded and its height satisfies
-        h(x) + h(y) = h(x ∧ y) + h(x ∨ y) on every pair with a join."""
+        """Whether the longest-chain height satisfies h(x) + h(y) =
+        h(x ∧ y) + h(x ∨ y) on every pair with a join, which decides that
+        every principal ideal is modular."""
         n = len(self.elements)
         lower = [[] for _ in range(n)]
         for c, x in np.argwhere(self._cover_matrix).tolist():
             lower[x].append(c)
         height = [0] * n
         for x in np.argsort(self.leq_matrix.sum(axis=0), kind="stable").tolist():
-            below = {height[c] for c in lower[x]}
-            if len(below) > 1:
-                return False
-            height[x] = below.pop() + 1 if below else 0
+            height[x] = max((height[c] + 1 for c in lower[x]), default=0)
         h = np.array(height, dtype=np.int32)
         J = self._join_table
         return bool(((h[:, None] + h == h[self._meet_table] + h[J]) | (J < 0)).all())

@@ -23,6 +23,12 @@ def make_m3() -> Semilattice:
                         ("x", "1"), ("y", "1"), ("z", "1")])
 
 
+def make_mk(k: int) -> Semilattice:
+    """M_k: a bottom, k pairwise incomparable atoms and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    return Semilattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+
+
 def make_c3() -> Semilattice:
     return Semilattice(["0", "m", "1"], [("0", "m"), ("m", "1")])
 

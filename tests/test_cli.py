@@ -211,6 +211,20 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_failed_certificate_exits_4_without_traceback():
+    # a relabelled pairwise-join base of the Fano plane, on which the
+    # optimal base fails its regeneration check
+    src = str(DATA.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ppiprep.cli", "optimal-base",
+                           "--input", str(DATA / "fano_pairwise.txt")],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invariant failed: optimal base does not regenerate the family")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_non_alternating_form_names_invariant(tmp_path, capsys):
     path = tmp_path / "bad_form.json"
     path.write_text(json.dumps({"p": 2, "entries": [[1, 0], [0, 1]]}))

@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from functools import partial
 
 import pytest
 
 import ppiprep.horn as horn
 from ppiprep.errors import BudgetError, InputError
+from ppiprep.gflin import subspace_lattice
 from ppiprep.horn import (
     ImplicationalSystem,
     irreducible_ppip,
@@ -18,7 +20,7 @@ from ppiprep.horn import (
 from ppiprep.ppip import check_axioms, induced_ppip
 from ppiprep.semilattice import Semilattice
 
-from helpers import DATA
+from helpers import DATA, as_semilattice, make_c2, make_c3, make_mk, make_s2, make_s3, product_universe
 
 SIGMA_NINE = (DATA / "sigma_nine.txt").read_text()
 
@@ -242,6 +244,76 @@ def test_pseudoclosed_nine_system():
     assert got == {frozenset(s) for s in expected}
 
 
+def brute_pseudoclosed(sigma: ImplicationalSystem) -> set[frozenset]:
+    """The recursive definition: P is pseudoclosed when it is not closed
+    and contains the closure of every smaller pseudoclosed set.  A set
+    without closure is never closed and contains no closure."""
+    found = []
+    for size in range(len(sigma.ground) + 1):
+        for xs in itertools.combinations(sigma.ground, size):
+            p = frozenset(xs)
+            if brute_closure(sigma, p) == p:
+                continue
+            if all((c := brute_closure(sigma, q)) is not None and c <= p for q in found if q < p):
+                found.append(p)
+    return set(found)
+
+
+def pairwise_join_system(L: Semilattice, rng: random.Random) -> ImplicationalSystem:
+    """Pairwise-join base of ``L`` over randomly labelled and ordered
+    irreducibles: each irreducible implies those below it, and each pair
+    implies those below its join, or forbids itself when there is none."""
+    irr = L.join_irreducibles()
+    label = dict(zip(irr, (f"p{k}" for k in rng.sample(range(10 * len(irr)), len(irr)))))
+    imps = [([label[q]], [label[p] for p in irr if p != q and L.leq(p, q)]) for q in irr]
+    imps = [imp for imp in imps if imp[1]]
+    for a, b in itertools.combinations(irr, 2):
+        j = L.join(a, b)
+        imps.append(([label[a], label[b]], [] if j is None else [label[p] for p in irr if L.leq(p, j)]))
+    ground = list(label.values())
+    rng.shuffle(ground)
+    return ImplicationalSystem(ground, imps)
+
+
+def product_of(*lats) -> Semilattice:
+    return as_semilattice(product_universe(lats), lats)
+
+
+MODULAR_FAMILIES = {
+    **{f"M{k}": partial(make_mk, k) for k in range(3, 8)},
+    **{f"L({d},{p})": partial(subspace_lattice, d, p) for d, p in [(2, 2), (3, 2), (2, 3), (2, 5), (2, 7)]},
+    "M3xC2": lambda: product_of(make_mk(3), make_c2()),
+    "M3xC3": lambda: product_of(make_mk(3), make_c3()),
+    "M3xM3": lambda: product_of(make_mk(3), make_mk(3)),
+    "S3xS2": lambda: product_of(make_s3(), make_s2()),
+    "M3xS2xC2": lambda: product_of(make_mk(3), make_s2(), make_c2()),
+    "M4xC2": lambda: product_of(make_mk(4), make_c2()),
+    "M3xM4": lambda: product_of(make_mk(3), make_mk(4)),
+    "S3xS3": lambda: product_of(make_s3(), make_s3()),
+}
+
+
+@pytest.mark.parametrize("family", MODULAR_FAMILIES)
+def test_pseudoclosed_matches_definition_on_relabelled_modular_families(family):
+    L = MODULAR_FAMILIES[family]()
+    for seed in range(3):
+        sigma = pairwise_join_system(L, random.Random(seed))
+        got = {frozenset(s) for s in pseudoclosed_sets(sigma)}
+        assert got == brute_pseudoclosed(sigma), (family, seed)
+
+
+def test_pseudoclosed_crosscheck_catches_a_dropped_implication(monkeypatch):
+    build = horn._build_optimal_base
+
+    def drop_last(L):
+        base = build(L)
+        return ImplicationalSystem(base.ground, base.implications[:-1])
+
+    monkeypatch.setattr(horn, "_build_optimal_base", drop_last)
+    with pytest.raises(AssertionError, match="pseudoclosed routes disagree"):
+        pseudoclosed_sets(nine_system())
+
+
 def test_quasiclosure_spots():
     sp = nine_system()
     assert quasiclosure(sp, ["1", "8"]) == frozenset({"1", "8"})
@@ -252,9 +324,7 @@ def test_quasiclosure_spots():
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_mn_intervals_of_mk(k):
-    atoms = [f"a{i}" for i in range(k)]
-    L = Semilattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
-    assert horn._mn_intervals(L) == [("0", "1", atoms)]
+    assert horn._mn_intervals(make_mk(k)) == [("0", "1", [f"a{i}" for i in range(k)])]
 
 
 def test_mn_intervals_skip_an_interior_chain():
