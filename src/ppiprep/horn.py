@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, InputError, NotModularError
 from .poset import Poset
-from .ppip import Ppip, check_regularity, check_weak_triangle, induced_ppip, subspace_closure
+from .ppip import Ppip, _bitmask, _bits, check_regularity, check_weak_triangle, induced_ppip
 from .semilattice import Semilattice, inclusion_matrix, induced_relations
 
 # Incremented whenever the closed family of a system is materialized.
@@ -44,6 +44,11 @@ class ClosureResult:
         if self.value is None:
             return "ClosureResult(nonexistent)"
         return f"ClosureResult({sorted(map(str, self.value))})"
+
+
+def _mask_order(m: int) -> tuple:
+    """Canonical order of element sets: by size, then by element positions."""
+    return m.bit_count(), tuple(_bits(m))
 
 
 def _ground_key(e):
@@ -82,25 +87,23 @@ class ImplicationalSystem:
         self._build_masks()
 
     def _build_masks(self) -> None:
+        """Bitmask form, built once: ``_reduced`` pairs each implication's
+        premise mask with its conclusion mask, the bottom bit ``1 << n``
+        standing for an improper conclusion; ``_counts`` holds the premise
+        sizes the counters start from, ``_axioms`` the conclusions of empty
+        premises, and ``_watchers[i]`` the implications whose premise holds
+        element ``i`` (the bottom bit, at ``n``, is in none)."""
         n = len(self.ground)
         self._bot = 1 << n
-        full = (1 << n) - 1
-        reduced = []
-        for a, b in self.implications:
-            amask = self._mask(a)
-            bmask = self._mask(b) if b else self._bot
-            reduced.append((amask, bmask))
-        # the synthetic bottom implies everything, making nonexistence absorbing
-        reduced.append((self._bot, full | self._bot))
-        self._reduced = reduced
-        watchers: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, (amask, _) in enumerate(reduced):
-            m = amask
-            while m:
-                low = m & (-m)
-                watchers[low.bit_length() - 1].append(i)
-                m ^= low
-        self._watchers = watchers
+        self._reduced = [(self._mask(a), self._mask(b) if b else self._bot) for a, b in self.implications]
+        self._counts = [a.bit_count() for a, _ in self._reduced]
+        self._axioms = 0
+        self._watchers: list[list[int]] = [[] for _ in range(n + 1)]
+        for k, (amask, bmask) in enumerate(self._reduced):
+            if not amask:
+                self._axioms |= bmask
+            for i in _bits(amask):
+                self._watchers[i].append(k)
 
     def _mask(self, xs: Iterable) -> int:
         m = 0
@@ -112,10 +115,10 @@ class ImplicationalSystem:
         return m
 
     def _unmask(self, m: int) -> frozenset:
-        return frozenset(self.ground[i] for i in range(len(self.ground)) if m >> i & 1)
+        return frozenset(self._tuple(m))
 
     def _tuple(self, m: int) -> tuple:
-        return tuple(self.ground[i] for i in range(len(self.ground)) if m >> i & 1)
+        return tuple(self.ground[i] for i in _bits(m))
 
     def size(self) -> int:
         """Total size: sum of premise and conclusion cardinalities."""
@@ -133,27 +136,19 @@ class ImplicationalSystem:
     # -- closure ---------------------------------------------------------
 
     def _close_mask(self, x: int) -> int | None:
-        """Forward chaining with premise counters; ``None`` when the synthetic
-        bottom is reached, i.e. no closed superset exists."""
-        counts = [a.bit_count() for a, _ in self._reduced]
-        result = x
-        frontier = x
-        for i, (_, b) in enumerate(self._reduced):
-            if counts[i] == 0:
-                new = b & ~result
-                result |= new
-                frontier |= new
-        processed = 0
+        """Forward chaining with premise counters (LinClosure); ``None`` when
+        an improper implication fires, i.e. no closed superset exists.  Each
+        element enters the frontier once, as only new elements are added."""
+        counts = self._counts.copy()
+        reduced, watchers = self._reduced, self._watchers
+        result = frontier = x | self._axioms
         while frontier:
-            low = frontier & (-frontier)
+            low = frontier & -frontier
             frontier ^= low
-            if processed & low:
-                continue
-            processed |= low
-            for i in self._watchers[low.bit_length() - 1]:
-                counts[i] -= 1
-                if counts[i] == 0:
-                    new = self._reduced[i][1] & ~result
+            for k in watchers[low.bit_length() - 1]:
+                counts[k] -= 1
+                if not counts[k]:
+                    new = reduced[k][1] & ~result
                     result |= new
                     frontier |= new
         return None if result & self._bot else result
@@ -174,14 +169,12 @@ class ImplicationalSystem:
         bottom = self._close_mask(0)
         if bottom is None:
             return []
-        n = len(self.ground)
+        full = self._bot - 1
         seen = {bottom}
         queue = [bottom]
         while queue:
             cur = queue.pop()
-            for i in range(n):
-                if cur >> i & 1:
-                    continue
+            for i in _bits(full & ~cur):
                 spent += 1
                 if spent > budget:
                     raise BudgetError(f"family enumeration exceeded budget of {budget} closures")
@@ -189,9 +182,7 @@ class ImplicationalSystem:
                 if grown is not None and grown not in seen:
                     seen.add(grown)
                     queue.append(grown)
-        out = [self._unmask(m) for m in seen]
-        out.sort(key=lambda s: (len(s), sorted(self._index[x] for x in s)))
-        return out
+        return [self._unmask(m) for m in sorted(seen, key=_mask_order)]
 
     def family(self, budget: int = DEFAULT_BUDGET) -> Semilattice:
         """The closed sets ordered by inclusion, as a semilattice whose
@@ -300,35 +291,24 @@ def irreducible_ppip(sigma: ImplicationalSystem) -> Ppip:
     ``family(sigma)``, so the result compares equal to the induced structure
     of the enumerated family.
     """
-    idx = sigma._index
-    singles = {}
-    for e in sigma.ground:
-        m = sigma._close_mask(1 << idx[e])
-        if m is not None:
-            singles[e] = m
-    candidates = sorted(set(singles.values()), key=lambda m: (m.bit_count(), m))
+    singles = [sigma._close_mask(1 << i) for i in range(len(sigma.ground))]
     irr = []
-    for f0 in candidates:
+    for f0 in sorted(set(singles) - {None}, key=_mask_order):
         union = 0
-        for i in range(len(sigma.ground)):
-            if f0 >> i & 1:
-                ci = singles[sigma.ground[i]]
-                if ci != f0:
-                    union |= ci
+        for i in _bits(f0):
+            if singles[i] != f0:
+                union |= singles[i]
         if sigma._close_mask(union) != f0:
             irr.append(f0)
-
     ids = [sigma._tuple(m) for m in irr]
-    ids.sort(key=lambda t: (len(t), tuple(idx[x] for x in t)))
-    masks = [sigma._mask(t) for t in ids]
-    leq = [[ms & ~mt == 0 for mt in masks] for ms in masks]
+    leq = [[ms & ~mt == 0 for mt in irr] for ms in irr]
     poset = Poset(ids, np.array(leq, dtype=bool).reshape(len(ids), len(ids)))
 
     # closure masks interned to integer keys; -1 marks a nonexistent join
     keys: dict[int, int] = {}
     join = [[-1] * len(ids) for _ in ids]
     for a, b in combinations(range(len(ids)), 2):
-        m = sigma._close_mask(masks[a] | masks[b])
+        m = sigma._close_mask(irr[a] | irr[b])
         if m is not None:
             join[a][b] = join[b][a] = keys.setdefault(m, len(keys))
     inconsistent, collinear = induced_relations(poset.leq_matrix, join)
@@ -350,35 +330,37 @@ def recognize_modular_semilattice(sigma: ImplicationalSystem) -> tuple[bool, dic
     Returns ``(True, None)`` or ``(False, witness)``.
     """
     pruned, _ = _prune(sigma)
-    ground = pruned.ground
-    idx = pruned._index
+    n = len(pruned.ground)
+    # inc[i]: the elements whose pair with element i has no closure
+    inc = [0] * n
+    for i, j in combinations(range(n), 2):
+        if pruned._close_mask(1 << i | 1 << j) is None:
+            inc[i] |= 1 << j
+            inc[j] |= 1 << i
+    # has_inc looks only at elements with such a partner, which also drops
+    # the bottom bit of an improper conclusion
+    incident = _bitmask(i for i in range(n) if inc[i])
 
-    inc_pairs = []
-    for e1, e2 in combinations(ground, 2):
-        if pruned._close_mask(1 << idx[e1] | 1 << idx[e2]) is None:
-            inc_pairs.append(frozenset((e1, e2)))
+    def has_inc(m: int) -> bool:
+        m &= incident
+        return m != 0 and any(inc[i] & m for i in _bits(m))
 
-    def has_inc(s: frozenset) -> bool:
-        return any(p <= s for p in inc_pairs)
+    def names(m: int) -> tuple:
+        return tuple(sorted(pruned._tuple(m), key=_ground_key))
 
-    for a, b in pruned.implications:
-        if not b and not has_inc(a):
-            return False, {"condition": "improper-premise-consistent",
-                           "premise": tuple(sorted(a, key=_ground_key))}
-    imps = pruned.implications
-    for i in range(len(imps)):
-        a, b = imps[i]
-        for j in range(i, len(imps)):
-            a2, b2 = imps[j]
-            if has_inc(a | a2 | b | b2) and not has_inc(a | a2):
-                return False, {"condition": "implication-pair",
-                               "premises": (tuple(sorted(a, key=_ground_key)),
-                                            tuple(sorted(a2, key=_ground_key)))}
+    imps = pruned._reduced
     for a, b in imps:
-        for e in ground:
-            if has_inc(a | b | {e}) and not has_inc(a | {e}):
-                return False, {"condition": "implication-element",
-                               "premise": tuple(sorted(a, key=_ground_key)), "element": e}
+        if b == pruned._bot and not has_inc(a):
+            return False, {"condition": "improper-premise-consistent", "premise": names(a)}
+    for i, (a, b) in enumerate(imps):
+        for a2, b2 in imps[i:]:
+            if has_inc(a | a2 | b | b2) and not has_inc(a | a2):
+                return False, {"condition": "implication-pair", "premises": (names(a), names(a2))}
+    for a, b in imps:
+        for e in range(n):
+            if has_inc(a | b | 1 << e) and not has_inc(a | 1 << e):
+                return False, {"condition": "implication-element", "premise": names(a),
+                               "element": pruned.ground[e]}
 
     ppip = irreducible_ppip(pruned)
     for check in (check_regularity, check_weak_triangle):
@@ -405,25 +387,21 @@ def _check_implication_generation(sigma: ImplicationalSystem, ppip: Ppip) -> dic
     exactly the closed family.  Dropping it admits non-modular families whose
     irreducible structure carries no collinear triples at all.
     """
-    idx = sigma._index
-    points = list(ppip.poset.elements)
-    masks = {t: sigma._mask(t) for t in points}
-    single = {e: sigma._close_mask(1 << idx[e]) for e in sigma.ground}
-
-    def ideal_of(element_mask: int) -> set:
-        return {t for t in points if masks[t] & ~element_mask == 0}
-
-    for a, b in sigma.implications:
-        if not b:
+    irr = [sigma._mask(t) for t in ppip.poset.elements]
+    # points[e]: the points below element e's closure, as a point mask
+    points = []
+    for e in range(len(sigma.ground)):
+        single = sigma._close_mask(1 << e)
+        points.append(_bitmask(k for k, m in enumerate(irr) if m & ~single == 0))
+    for (a, b), (amask, _) in zip(sigma.implications, sigma._reduced):
+        if not b or sigma._close_mask(amask) is None:
             continue
-        if sigma._close_mask(sigma._mask(a)) is None:
-            continue
-        seed = set()
-        for x in a:
-            seed |= ideal_of(single[x])
-        generated = subspace_closure(ppip, seed) if seed else frozenset()
+        seed = 0
+        for i in _bits(amask):
+            seed |= points[i]
+        generated = ppip._close(seed)
         for e in sorted(b - a, key=_ground_key):
-            if not ideal_of(single[e]) <= generated:
+            if points[sigma._index[e]] & ~generated:
                 return {"condition": "implication-generation",
                         "premise": tuple(sorted(a, key=_ground_key)),
                         "element": e}
@@ -563,8 +541,8 @@ def optimal_base(L: Semilattice) -> ImplicationalSystem:
     produced = set(base.closed_sets())
     expected = {phi[l] for l in L.elements}
     if produced != expected:
-        diff = sorted(map(str, produced.symmetric_difference(expected)))[:3]
-        raise AssertionError(f"optimal base does not regenerate the family: {diff}")
+        diff = sorted((base._mask(s) for s in produced ^ expected), key=_mask_order)
+        raise AssertionError(f"optimal base does not regenerate the family: {[base._tuple(m) for m in diff[:3]]}")
     return base
 
 

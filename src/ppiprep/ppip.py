@@ -34,7 +34,8 @@ class Ppip:
 
     ``inconsistent`` holds 2-element frozensets, ``collinear`` 3-element
     frozensets; all members must be poset elements.  Construction checks only
-    well-formedness; the axioms are a separate, explicit check.
+    well-formedness; the axioms are a separate, explicit check, whose verdict
+    is kept on the structure since it cannot change.
     """
 
     def __init__(self, poset: Poset, inconsistent: Iterable[frozenset] = (),
@@ -56,6 +57,7 @@ class Ppip:
         for t in self._triples:
             for x, y, z in permutations(t):
                 self._third[x][y] = self._third[x].get(y, 0) | 1 << z
+        self._axiom_cache: tuple[bool, dict | None] | None = None
 
     # canonical, deterministic listings
     def inconsistent_pairs(self) -> list[tuple[Element, Element]]:
@@ -155,14 +157,15 @@ def check_axioms(ppip: Ppip) -> tuple[bool, dict | None]:
     Order: inconsistency axioms (no common upper bounds; upward closure),
     collinearity axioms (incomparability; upper bounds of two dominate the
     third), regularity, the weak triangle condition, then the two
-    consistency-collinearity axioms.
+    consistency-collinearity axioms.  The verdict is computed once per
+    structure.
     """
-    for checker in (_check_ic1, _check_ic2, _check_ct1, _check_ct2,
-                    check_regularity, check_weak_triangle, _check_cc1, _check_cc2):
-        witness = checker(ppip)
-        if witness is not None:
-            return False, witness
-    return True, None
+    if ppip._axiom_cache is None:
+        witnesses = (checker(ppip) for checker in (_check_ic1, _check_ic2, _check_ct1, _check_ct2,
+                                                   check_regularity, check_weak_triangle, _check_cc1, _check_cc2))
+        witness = next((w for w in witnesses if w is not None), None)
+        ppip._axiom_cache = (witness is None, witness)
+    return ppip._axiom_cache
 
 
 def _check_ic1(ppip: Ppip) -> dict | None:

@@ -1,8 +1,11 @@
-"""Shared builders: small factor semilattices, product closure, poset views."""
+"""Shared builders: small factor semilattices, product closure, poset views,
+seeded implicational systems."""
 
 import itertools
+import random
 from pathlib import Path
 
+from ppiprep.horn import ImplicationalSystem
 from ppiprep.semilattice import Semilattice
 
 DATA = Path(__file__).parent / "data"
@@ -73,3 +76,39 @@ def as_semilattice(members, lats) -> Semilattice:
 
 def product_universe(lats):
     return list(itertools.product(*[l.elements for l in lats]))
+
+
+def product_of(*lats) -> Semilattice:
+    return as_semilattice(product_universe(lats), lats)
+
+
+def random_system(rng: random.Random) -> ImplicationalSystem:
+    """Up to eight elements and ten implications, with empty premises and
+    improper implications among them."""
+    n = rng.randint(1, 8)
+    ground = [str(i) for i in range(1, n + 1)]
+    imps = []
+    for _ in range(rng.randint(0, 10)):
+        prem = rng.sample(ground, min(rng.choice([1, 1, 2, 2, 2, 3, 0]), n))
+        if rng.random() < 0.08:
+            concl = []
+        else:
+            concl = rng.sample(ground, min(rng.choice([1, 1, 1, 2]), n))
+        imps.append((prem, concl))
+    return ImplicationalSystem(ground, imps)
+
+
+def pairwise_join_system(L: Semilattice, rng: random.Random) -> ImplicationalSystem:
+    """Pairwise-join base of ``L`` over randomly labelled and ordered
+    irreducibles: each irreducible implies those below it, and each pair
+    implies those below its join, or forbids itself when there is none."""
+    irr = L.join_irreducibles()
+    label = dict(zip(irr, (f"p{k}" for k in rng.sample(range(10 * len(irr)), len(irr)))))
+    imps = [([label[q]], [label[p] for p in irr if p != q and L.leq(p, q)]) for q in irr]
+    imps = [imp for imp in imps if imp[1]]
+    for a, b in itertools.combinations(irr, 2):
+        j = L.join(a, b)
+        imps.append(([label[a], label[b]], [] if j is None else [label[p] for p in irr if L.leq(p, j)]))
+    ground = list(label.values())
+    rng.shuffle(ground)
+    return ImplicationalSystem(ground, imps)

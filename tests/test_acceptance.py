@@ -28,7 +28,8 @@ from ppiprep.ppip import birkhoff_roundtrip, check_axioms, consistent_subspaces,
 from ppiprep.product import build_ppip, join_irreducible_elements, oracle_from_set
 from ppiprep.semilattice import Semilattice
 
-from helpers import DATA, as_semilattice, close_set, make_c2, make_c3, make_m3, make_s2, make_s3, product_universe
+from helpers import (DATA, as_semilattice, close_set, make_c2, make_c3, make_m3, make_s2, make_s3, product_universe,
+                     random_system)
 
 
 def report(num, elapsed, detail):
@@ -180,20 +181,6 @@ def test_criterion_5_product_representation_equivalence():
     elapsed = time.monotonic() - t0
     report(5, elapsed, f"{checked} closed sets: representation equals the direct construction, "
                        "call and irreducible bounds hold")
-
-
-def random_system(rng):
-    n = rng.randint(1, 8)
-    ground = [str(i) for i in range(1, n + 1)]
-    imps = []
-    for _ in range(rng.randint(0, 10)):
-        prem = rng.sample(ground, min(rng.choice([1, 1, 2, 2, 2, 3, 0]), n))
-        if rng.random() < 0.08:
-            concl = []
-        else:
-            concl = rng.sample(ground, min(rng.choice([1, 1, 1, 2]), n))
-        imps.append((prem, concl))
-    return ImplicationalSystem(ground, imps)
 
 
 def test_criterion_6_recognition_oracle_equivalence():

@@ -213,16 +213,24 @@ def test_budget_exit_code(capsys):
 
 def test_failed_certificate_exits_4_without_traceback():
     # a relabelled pairwise-join base of the Fano plane, on which the
-    # optimal base fails its regeneration check
+    # optimal base fails its regeneration check; the message names the
+    # same sets under every hash seed, and the check survives -O
     src = str(DATA.parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "ppiprep.cli", "optimal-base",
-                           "--input", str(DATA / "fano_pairwise.txt")],
-                          env=env, capture_output=True, text=True, check=False)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("invariant failed: optimal base does not regenerate the family")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    lines = set()
+    for flags, seed in (([], "0"), ([], "1"), (["-O"], None)):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONHASHSEED", None)
+        if seed is not None:
+            env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run([sys.executable, *flags, "-m", "ppiprep.cli", "optimal-base",
+                               "--input", str(DATA / "fano_pairwise.txt")],
+                              env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("invariant failed: optimal base does not regenerate the family")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        lines.add(proc.stderr)
+    assert len(lines) == 1, lines
 
 
 def test_non_alternating_form_names_invariant(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import ppiprep.ppip as ppip_module
 from ppiprep.errors import BudgetError, InputError
 from ppiprep.gflin import (
     GFMatrix,
@@ -228,6 +229,16 @@ def test_fixture_polar_consistent_subspaces():
     assert len(cs) == 11
     assert cs.is_modular_semilattice()[0]
     assert birkhoff_roundtrip(cs)["ok"]
+
+
+def test_polar_space_axioms_checked_once(monkeypatch):
+    # polar_space_ppip certifies the structure; consistent_subspaces reuses that verdict
+    calls = []
+    check = ppip_module.check_weak_triangle
+    monkeypatch.setattr(ppip_module, "check_weak_triangle", lambda pp: calls.append(pp) or check(pp))
+    pp = polar_space_ppip([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2)
+    assert len(consistent_subspaces(pp)) == 31     # the empty set, 15 points, 15 lines
+    assert calls == [pp]
 
 
 def test_degenerate_form_accepted():

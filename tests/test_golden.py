@@ -1,6 +1,7 @@
 """Golden outputs: stdout and emitted JSON of each subcommand on the
 fixtures, the ``check_axioms`` verdict and witness on seeded point-line
-structures, and the modularity verdict and witness on seeded orders, must
+structures, the modularity verdict and witness on seeded orders, and the
+recognition verdict and witness on seeded implicational systems, must
 match the files under ``tests/data/golden/`` byte for byte.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
@@ -18,11 +19,12 @@ import pytest
 from ppiprep.cli import main
 from ppiprep.errors import NotSemilatticeError
 from ppiprep.gflin import subspace_lattice
+from ppiprep.horn import ImplicationalSystem, recognize_modular_semilattice
 from ppiprep.ppip import Ppip, check_axioms, induced_ppip
 from ppiprep.semilattice import Semilattice
 
-from helpers import (DATA, as_semilattice, make_c2, make_c3, make_m3, make_n5_poset_json, make_s2, make_s3,
-                     product_universe)
+from helpers import (DATA, make_c2, make_c3, make_m3, make_mk, make_n5_poset_json, make_s2, make_s3,
+                     pairwise_join_system, product_of, random_system)
 
 GOLDEN = DATA / "golden"
 
@@ -59,10 +61,6 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
 # -- axiom verdicts ------------------------------------------------------
 
-def _product(*lats):
-    return as_semilattice(product_universe(lats), lats)
-
-
 def _square_with_top() -> Semilattice:
     """The four-element Boolean lattice with one more element ``t`` on top:
     ``t`` is an irreducible point above two incomparable points."""
@@ -77,8 +75,8 @@ AXIOM_BASES = {
     "L(3,2)": (lambda: induced_ppip(subspace_lattice(3, 2)), 60),
     "L(2,5)": (lambda: induced_ppip(subspace_lattice(2, 5)), 40),
     "L(4,2)": (lambda: induced_ppip(subspace_lattice(4, 2)), 40),
-    "M3xC3": (lambda: induced_ppip(_product(make_m3(), make_c3())), 60),
-    "B2+C2xS2": (lambda: induced_ppip(_product(_square_with_top(), make_s2())), 60),
+    "M3xC3": (lambda: induced_ppip(product_of(make_m3(), make_c3())), 60),
+    "B2+C2xS2": (lambda: induced_ppip(product_of(_square_with_top(), make_s2())), 60),
 }
 
 
@@ -181,8 +179,8 @@ def modular_cases() -> list[tuple[str, list, object]]:
          [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "ab"), ("b", "ab"), ("b", "bc"),
           ("c", "bc"), ("c", "ca"), ("a", "ca")]),
         *((f"M{k}", *_m(k)) for k in range(3, 7)),
-        ("M3xC2", *_as_case(_product(make_m3(), make_c2()))),
-        ("M3xM3", *_as_case(_product(make_m3(), make_m3()))),
+        ("M3xC2", *_as_case(product_of(make_m3(), make_c2()))),
+        ("M3xM3", *_as_case(product_of(make_m3(), make_m3()))),
         ("L(3,3)", *_as_case(subspace_lattice(3, 3))),
     ]
     rng = random.Random(20261019)
@@ -227,6 +225,56 @@ def test_modular_golden_covers_every_outcome():
         "modular", "modular-law", "triple-join", "no common lower bound", "no greatest common lower bound"}
 
 
+# -- recognition verdicts --------------------------------------------------
+
+# each family's pairwise-join base is drawn under seeds 0..14, each base
+# also with one implication dropped
+RECOGNITION_FAMILIES = {
+    "L(2,3)": lambda: subspace_lattice(2, 3),
+    "L(3,2)": lambda: subspace_lattice(3, 2),
+    "L(2,5)": lambda: subspace_lattice(2, 5),
+    "L(3,3)": lambda: subspace_lattice(3, 3),
+    "M4": lambda: make_mk(4),
+    "M3xC2": lambda: product_of(make_m3(), make_c2()),
+}
+
+
+def recognition_cases() -> list[tuple[str, ImplicationalSystem]]:
+    rng = random.Random(20261020)
+    cases = [(f"random#{k}", random_system(rng)) for k in range(420)]
+    for name, build in RECOGNITION_FAMILIES.items():
+        L = build()
+        for seed in range(15):
+            sigma = pairwise_join_system(L, random.Random(seed))
+            kept = list(sigma.implications)
+            del kept[rng.randrange(len(kept))]
+            cases += [(f"{name}#{seed}", sigma), (f"{name}#{seed}-drop", ImplicationalSystem(sigma.ground, kept))]
+    return cases
+
+
+def recognition_verdicts() -> list[dict]:
+    out = []
+    for name, sigma in recognition_cases():
+        ok, witness = recognize_modular_semilattice(sigma)
+        out.append({"system": name, "ok": ok, "witness": witness})
+    return out
+
+
+def _recognition_text() -> str:
+    return json.dumps(recognition_verdicts(), indent=1, sort_keys=True) + "\n"
+
+
+def test_recognition_verdicts_match_golden():
+    assert _recognition_text() == (GOLDEN / "recognition.json").read_text(encoding="utf-8")
+
+
+def test_recognition_golden_covers_the_reached_conditions():
+    golden = json.loads((GOLDEN / "recognition.json").read_text(encoding="utf-8"))
+    assert {case["witness"]["condition"] for case in golden if case["witness"]} == {
+        "improper-premise-consistent", "implication-pair", "implication-element", "weak-triangle",
+        "implication-generation"}
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (_, argv) in sorted(CASES.items()):
@@ -236,6 +284,7 @@ def _regenerate() -> None:
         (GOLDEN / f"{name}.out").write_text(buf.getvalue(), encoding="utf-8")
     (GOLDEN / "axioms.json").write_text(_axiom_text(), encoding="utf-8")
     (GOLDEN / "modular.json").write_text(_modular_text(), encoding="utf-8")
+    (GOLDEN / "recognition.json").write_text(_recognition_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from ppiprep.horn import (
 from ppiprep.ppip import check_axioms, induced_ppip
 from ppiprep.semilattice import Semilattice
 
-from helpers import DATA, as_semilattice, make_c2, make_c3, make_mk, make_s2, make_s3, product_universe
+from helpers import DATA, make_c2, make_c3, make_mk, make_s2, make_s3, pairwise_join_system, product_of
 
 SIGMA_NINE = (DATA / "sigma_nine.txt").read_text()
 
@@ -110,6 +110,28 @@ def test_closure_equals_brute_force_on_every_subset():
             want = brute_closure(sp, xs)
             got = sp.closure(xs)
             assert got.value == want
+
+
+def test_closure_with_empty_premises_equals_brute_force():
+    # implications without premise, proper (-> a) or improper (-> _|_),
+    # hold in every closure or forbid them all
+    rng = random.Random(20261021)
+    axioms = improper = 0
+    for _ in range(400):
+        ground = [str(i) for i in range(rng.randint(1, 7))]
+        imps = []
+        for _ in range(rng.randint(1, 7)):
+            prem = rng.sample(ground, min(rng.choice([0, 0, 1, 2, 3]), len(ground)))
+            concl = [] if rng.random() < 0.15 else rng.sample(ground, rng.randint(1, min(2, len(ground))))
+            imps.append((prem, concl))
+        sigma = ImplicationalSystem(ground, imps)
+        for a, b in sigma.implications:
+            axioms += not a
+            improper += not a and not b
+        for k in range(len(ground) + 1):
+            for xs in itertools.combinations(ground, k):
+                assert sigma.closure(xs).value == brute_closure(sigma, xs), (sigma.to_text(), xs)
+    assert axioms > 300 and improper > 30
 
 
 def test_closure_idempotent_and_extensive():
@@ -257,26 +279,6 @@ def brute_pseudoclosed(sigma: ImplicationalSystem) -> set[frozenset]:
             if all((c := brute_closure(sigma, q)) is not None and c <= p for q in found if q < p):
                 found.append(p)
     return set(found)
-
-
-def pairwise_join_system(L: Semilattice, rng: random.Random) -> ImplicationalSystem:
-    """Pairwise-join base of ``L`` over randomly labelled and ordered
-    irreducibles: each irreducible implies those below it, and each pair
-    implies those below its join, or forbids itself when there is none."""
-    irr = L.join_irreducibles()
-    label = dict(zip(irr, (f"p{k}" for k in rng.sample(range(10 * len(irr)), len(irr)))))
-    imps = [([label[q]], [label[p] for p in irr if p != q and L.leq(p, q)]) for q in irr]
-    imps = [imp for imp in imps if imp[1]]
-    for a, b in itertools.combinations(irr, 2):
-        j = L.join(a, b)
-        imps.append(([label[a], label[b]], [] if j is None else [label[p] for p in irr if L.leq(p, j)]))
-    ground = list(label.values())
-    rng.shuffle(ground)
-    return ImplicationalSystem(ground, imps)
-
-
-def product_of(*lats) -> Semilattice:
-    return as_semilattice(product_universe(lats), lats)
 
 
 MODULAR_FAMILIES = {
