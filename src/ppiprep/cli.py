@@ -38,6 +38,17 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_object(path: str, what: str, keys) -> dict:
+    """A JSON object that has every key in ``keys``."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{what} JSON needs the '{key}' key")
+    return data
+
+
 def _load_sigma(path: str) -> ImplicationalSystem:
     """Implications, either as the line format ``a b -> c d`` or as JSON."""
     try:
@@ -184,15 +195,14 @@ def _cmd_birkhoff(args) -> int:
 
 
 def _cmd_product_ppip(args) -> int:
-    data = _load_json(args.input)
-    for key in ("lattice", "n", "members"):
-        if key not in data:
-            raise InputError(f"explicit member JSON needs the '{key}' key")
+    data = _load_object(args.input, "explicit member", ("lattice", "n", "members"))
     lat = Semilattice.from_poset(Poset.from_json(data["lattice"]))
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    n, members = data["n"], data["members"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"'n' must be a positive integer, got {n!r}")
-    oracle = oracle_from_set([tuple(m) for m in data["members"]], lat, n)
+    if not isinstance(members, list) or not all(isinstance(m, list) for m in members):
+        raise InputError("'members' must be a list of element lists")
+    oracle = oracle_from_set(members, lat, n)
     ppip = build_ppip(oracle)
     emitted = _relabel_ppip(ppip, _vector_label)
     if args.emit:
@@ -240,10 +250,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_polar(args) -> int:
-    data = _load_json(args.form)
-    for key in ("p", "entries"):
-        if key not in data:
-            raise InputError(f"form JSON needs the '{key}' key")
+    data = _load_object(args.form, "form", ("p", "entries"))
     ppip = polar_space_ppip(data["entries"], data["p"])
     emitted = _relabel_ppip(ppip, _point_label)
     if args.emit:

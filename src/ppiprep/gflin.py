@@ -481,17 +481,19 @@ def mvsp_solve(A: PartitionedMatrix, budget: int = 10 ** 6) -> tuple[int, Member
     optimum and the oracle over the validated meet/join-closed set of
     maximum tuples (X, K(X)), column side in reverse inclusion order; its
     members are flat tuples (row subspaces then column subspaces) and feed
-    the point-line constructor directly.
+    the point-line constructor directly.  Blocks of equal size on the same
+    side share one lattice object.
     """
-    rows = [subspace_lattice(m, A.p) for m in A.row_blocks]
-    cols = [subspace_lattice(n, A.p, reverse=True) for n in A.col_blocks]
+    sides = [(m, False) for m in A.row_blocks] + [(n, True) for n in A.col_blocks]
+    shared = {side: subspace_lattice(side[0], A.p, reverse=side[1]) for side in dict.fromkeys(sides)}
+    lattices = [shared[side] for side in sides]
 
     def value(*X) -> int:
         return -sum(s.dim for s in X) - sum(k.dim for k in _column_kernels(A, X))
 
-    best = oracle_from_minimizers([(range(A.mu), value)], rows, budget=budget)
+    best = oracle_from_minimizers([(range(A.mu), value)], lattices[:A.mu], budget=budget)
     lifted = [X + tuple(_column_kernels(A, X)) for X in best.members]
-    return int(-best.minimum), oracle_from_set(lifted, rows + cols)
+    return int(-best.minimum), oracle_from_set(lifted, lattices)
 
 
 # -- greedy maximal chains ------------------------------------------------

@@ -39,32 +39,43 @@ class MembershipOracle:
 
     def __init__(self, lattices: Sequence[Semilattice] | Semilattice, n: int | None = None,
                  query: Callable[[int, int, Element, Element], bool] | None = None):
-        if isinstance(lattices, Semilattice):
-            if n is None:
-                raise InputError("coordinate count required with a single shared factor")
-            lattices = [lattices] * n
-        self.lattices: list[Semilattice] = list(lattices)
+        self.lattices: list[Semilattice] = _factor_list(lattices, n)
         self.n: int = len(self.lattices)
-        if self.n == 0:
-            raise InputError("a product needs at least one coordinate")
-        if n is not None and n != self.n:
-            raise InputError(f"coordinate count {n} does not match {self.n} factors")
         self._fn = query
         self.call_counter: int = 0
         self._cache: dict = {}
+        self._projections: dict[int, Semilattice] = {}
 
     def query(self, i: int, j: int, l: Element, l2: Element) -> bool:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise InputError(f"coordinate out of range: {(i, j)}")
-        key = ((i, self.lattices[i].index(l)), (j, self.lattices[j].index(l2)))
-        if key[0] > key[1]:
-            key = (key[1], key[0])
+        return self._ask(i, self.lattices[i].index(l), j, self.lattices[j].index(l2))
+
+    def _ask(self, i: int, a: int, j: int, b: int) -> bool:
+        """``query`` with the values given by their positions ``a`` and ``b``
+        in the factors' element lists."""
+        key = ((i, a), (j, b)) if (i, a) <= (j, b) else ((j, b), (i, a))
         hit = self._cache.get(key)
         if hit is None:
             self.call_counter += 1
-            hit = bool(self._fn(i, j, l, l2))
+            hit = bool(self._fn(i, j, self.lattices[i].elements[a], self.lattices[j].elements[b]))
             self._cache[key] = hit
         return hit
+
+
+def _factor_list(lattices: Sequence[Semilattice] | Semilattice, n: int | None) -> list[Semilattice]:
+    """The factor of each coordinate: one shared factor repeated ``n`` times,
+    or the given list, whose length must equal ``n`` when that is given."""
+    if isinstance(lattices, Semilattice):
+        if n is None:
+            raise InputError("coordinate count required with a single shared factor")
+        lattices = [lattices] * n
+    lattices = list(lattices)
+    if not lattices:
+        raise InputError("a product needs at least one coordinate")
+    if n is not None and n != len(lattices):
+        raise InputError(f"coordinate count {n} does not match {len(lattices)} factors")
+    return lattices
 
 
 @dataclass(frozen=True)
@@ -98,24 +109,18 @@ def compute_bases(oracle: MembershipOracle) -> dict[tuple[int, Element], Base]:
     before = oracle.call_counter
     bases: dict[tuple[int, Element], Base] = {}
     lats = oracle.lattices
-    n = oracle.n
-    for i in range(n):
-        Li = lats[i]
-        for l in Li.elements:
-            if not oracle.query(i, i, l, l):
+    for i, Li in enumerate(lats):
+        for a, l in enumerate(Li.elements):
+            if not oracle._ask(i, a, i, a):
                 continue
             vec = []
-            for j in range(n):
-                if j == i:
-                    vec.append(l)
-                    continue
-                Lj = lats[j]
-                compat = [l2 for l2 in Lj.elements if oracle.query(i, j, l, l2)]
+            for j, Lj in enumerate(lats):
+                compat = [a] if j == i else [b for b in range(len(Lj)) if oracle._ask(i, a, j, b)]
                 if not compat:
                     raise InputError(
                         f"oracle is not (∧,∨)-closed: coordinate {i} value {l!r} "
                         f"has a member but no compatible value at coordinate {j}")
-                mins = Lj.minimal_elements(compat)
+                mins = [Lj.elements[b] for b in compat if not Lj._lt[compat, b].any()]
                 if len(mins) != 1:
                     raise InputError(
                         f"oracle is not (∧,∨)-closed: values compatible with "
@@ -125,7 +130,8 @@ def compute_bases(oracle: MembershipOracle) -> dict[tuple[int, Element], Base]:
             bases[(i, l)] = Base(i, l, tuple(vec), labels=((i, l),), lattices=tuple(lats))
     bound = sum(len(lat) for lat in lats) ** 2
     spent = oracle.call_counter - before
-    assert spent <= bound, f"oracle call accounting broken: {spent} > {bound}"
+    if spent > bound:
+        raise AssertionError(f"oracle call accounting broken: {spent} > {bound}")
     return bases
 
 
@@ -137,9 +143,13 @@ def lcp_leq(e: Base, b: Vector) -> bool:
 
 
 def _projection(oracle: MembershipOracle, i: int) -> Semilattice:
-    Li = oracle.lattices[i]
-    present = [l for l in Li.elements if oracle.query(i, i, l, l)]
-    return Semilattice.from_poset(Li.subposet(present))
+    """The values members take at coordinate ``i``, as a semilattice; built
+    once per oracle."""
+    if i not in oracle._projections:
+        Li = oracle.lattices[i]
+        present = [l for a, l in enumerate(Li.elements) if oracle._ask(i, a, i, a)]
+        oracle._projections[i] = Semilattice.from_poset(Li.subposet(present))
+    return oracle._projections[i]
 
 
 def join_irreducible_elements(oracle: MembershipOracle) -> list[Base]:
@@ -151,27 +161,14 @@ def join_irreducible_elements(oracle: MembershipOracle) -> list[Base]:
     join-irreducible count.
     """
     bases = compute_bases(oracle)
-    irr_labels = []
-    for i in range(oracle.n):
-        proj = _projection(oracle, i)
-        for l in proj.join_irreducibles():
-            irr_labels.append((i, l))
-
+    # labels arrive by coordinate, then in the factor's order
     merged: dict[Vector, list] = {}
-    for (i, l) in irr_labels:
-        base = bases[(i, l)]
-        merged.setdefault(base.vector, []).append((i, l))
-
-    def label_key(lab):
-        i, l = lab
-        return (i, oracle.lattices[i].index(l))
-
-    out = []
-    for vec, labels in merged.items():
-        labels.sort(key=label_key)
-        i0, l0 = labels[0]
-        out.append(Base(i0, l0, vec, labels=tuple(labels), lattices=tuple(oracle.lattices)))
-    out.sort(key=lambda b: tuple(oracle.lattices[j].index(b.vector[j]) for j in range(oracle.n)))
+    for i in range(oracle.n):
+        for l in _projection(oracle, i).join_irreducibles():
+            merged.setdefault(bases[(i, l)].vector, []).append((i, l))
+    out = [Base(*labels[0], vec, labels=tuple(labels), lattices=tuple(oracle.lattices))
+           for vec, labels in merged.items()]
+    out.sort(key=lambda b: [lat.index(x) for x, lat in zip(b.vector, oracle.lattices)])
     return out
 
 
@@ -193,38 +190,35 @@ def build_ppip(oracle: MembershipOracle) -> Ppip:
                 witness=witness)
 
     points = join_irreducible_elements(oracle)
+    lats = oracle.lattices
+    k = len(points)
     ids = [p.vector for p in points]
-    leq = [[lcp_leq(a, b.vector) for b in points] for a in points]
-    poset = Poset(ids, np.array(leq, dtype=bool).reshape(len(ids), len(ids)))
-    point_of = {lab: k for k, p in enumerate(points) for lab in p.labels}
-    projections = {i: _projection(oracle, i) for i in range(oracle.n)}
+    pos = np.array([[lat.index(x) for x, lat in zip(p.vector, lats)] for p in points],
+                   dtype=np.intp).reshape(k, oracle.n)
+    # a point lies below another when its defining value does
+    leq = np.array([lats[p.i].leq_matrix[pos[a, p.i], pos[:, p.i]] for a, p in enumerate(points)],
+                   dtype=bool).reshape(k, k)
+    poset = Poset(ids, leq)
+    point_of = {lab: a for a, p in enumerate(points) for lab in p.labels}
+    projections = [_projection(oracle, i) for i in range(oracle.n)]
 
     # every pair above the points of an inconsistent pair of defining values
-    inconsistent = set()
-    for i, proj in projections.items():
+    inconsistent = np.zeros((k, k), dtype=bool)
+    for i, proj in enumerate(projections):
         for pair in proj.induced_inconsistency():
-            above_a, above_b = (np.flatnonzero(poset.leq_matrix[point_of[(i, l)]]) for l in pair)
-            inconsistent.update(frozenset((ids[x], ids[y])) for x in above_a for y in above_b)
+            a, b = (point_of[(i, l)] for l in pair)
+            inconsistent |= np.outer(poset.leq_matrix[a], poset.leq_matrix[b])
+    inconsistent |= inconsistent.T
 
-    # collinear triples of each projection, among the values the points take there
-    lines = {}
-    for i, proj in projections.items():
-        vals = list({p.vector[i] for p in points})
-        lines[i] = {frozenset(vals[t] for t in trip) for trip in proj._induced_on(vals)[1]}
-
-    collinear = []
-    for pa, pb, pc in combinations(points, 3):
-        va, vb, vc = pa.vector, pb.vector, pc.vector
-        if (frozenset((va, vb)) in inconsistent or
-                frozenset((vb, vc)) in inconsistent or
-                frozenset((va, vc)) in inconsistent):
-            continue
-        # collinear in the projection of each point's defining coordinate
-        if all(frozenset((va[i], vb[i], vc[i])) in lines[i]
-               for i in (pa.labels[0][0], pb.labels[0][0], pc.labels[0][0])):
-            collinear.append(frozenset((va, vb, vc)))
-
-    return Ppip(poset, inconsistent, collinear)
+    # a consistent triple is collinear when the projection of each of its
+    # points' defining coordinates puts the triple's values on a line
+    lines = [set(proj._induced_on([p.vector[i] for p in points])[1])
+             for i, proj in enumerate(projections)]
+    collinear = [frozenset(ids[x] for x in t) for t in sorted(set().union(*lines))
+                 if all(t in lines[points[x].i] for x in t)
+                 and not any(inconsistent[x, y] for x, y in combinations(t, 2))]
+    pairs = [frozenset((ids[x], ids[y])) for x, y in np.argwhere(np.triu(inconsistent)).tolist()]
+    return Ppip(poset, pairs, collinear)
 
 
 def oracle_from_set(members: Iterable[Vector],
@@ -233,6 +227,8 @@ def oracle_from_set(members: Iterable[Vector],
     """Oracle backed by an explicit member list, validated to be closed
     under componentwise meets and existing componentwise joins.
 
+    Pairs of members are checked in the order of their ``str``, each
+    pair's meet before its join, and the first one missing is reported.
     The member vectors stay available as ``oracle.members`` in canonical
     order.  An empty member list is rejected: the represented structure
     must have a minimum.
@@ -240,42 +236,37 @@ def oracle_from_set(members: Iterable[Vector],
     members = [tuple(m) for m in members]
     if not members:
         raise InputError("explicit member set is empty")
-    if isinstance(lattices, Semilattice):
-        width = n if n is not None else len(members[0])
-        lattices = [lattices] * width
-    lattices = list(lattices)
+    if n is None and isinstance(lattices, Semilattice):
+        n = len(members[0])
+    lattices = _factor_list(lattices, n)
     width = len(lattices)
-    seen = set()
+    rows = []
     for m in members:
         if len(m) != width:
             raise InputError(f"member {m!r} does not have {width} coordinates")
-        for x, lat in zip(m, lattices):
-            lat.index(x)
-        seen.add(m)
-    if len(seen) != len(members):
+        rows.append(tuple(lat.index(x) for x, lat in zip(m, lattices)))
+    seen = set(rows)
+    if len(seen) != len(rows):
         raise InputError("duplicate members in explicit set")
 
-    for m1, m2 in combinations(sorted(seen, key=str), 2):
-        meet = tuple(lat.meet(x, y) for x, y, lat in zip(m1, m2, lattices))
-        if meet not in seen:
-            raise InputError(
-                f"explicit set is not (∧,∨)-closed: meet of {m1!r} and {m2!r} "
-                f"is {meet!r}, which is missing")
-        joins = [lat.join(x, y) for x, y, lat in zip(m1, m2, lattices)]
-        if all(j is not None for j in joins) and tuple(joins) not in seen:
-            raise InputError(
-                f"explicit set is not (∧,∨)-closed: join of {m1!r} and {m2!r} "
-                f"is {tuple(joins)!r}, which is missing")
+    tables = {"meet": [lat._meet_table.tolist() for lat in lattices],
+              "join": [lat._join_table.tolist() for lat in lattices]}
+    for p, q in combinations(sorted(range(len(rows)), key=lambda k: str(members[k])), 2):
+        for what, table in tables.items():
+            vec = tuple(t[x][y] for t, x, y in zip(table, rows[p], rows[q]))
+            if -1 not in vec and vec not in seen:    # -1: no join in that factor
+                raise InputError(
+                    f"explicit set is not (∧,∨)-closed: {what} of {members[p]!r} and {members[q]!r} "
+                    f"is {tuple(lat.elements[x] for x, lat in zip(vec, lattices))!r}, which is missing")
 
-    index = {lat_i: {e: k for k, e in enumerate(lat.elements)}
-             for lat_i, lat in enumerate(lattices)}
-    ordered = sorted(seen, key=lambda m: tuple(index[i][m[i]] for i in range(width)))
+    # every (i, x_i, j, x_j) a member takes, values by positions
+    entries = {(i, a, j, b) for row in rows for i, a in enumerate(row) for j, b in enumerate(row)}
 
     def answer(i: int, j: int, l, l2) -> bool:
-        return any(m[i] == l and m[j] == l2 for m in ordered)
+        return (i, lattices[i].index(l), j, lattices[j].index(l2)) in entries
 
     oracle = MembershipOracle(lattices, query=answer)
-    oracle.members = ordered
+    oracle.members = [tuple(lat.elements[x] for x, lat in zip(row, lattices)) for row in sorted(rows)]
     return oracle
 
 
@@ -291,11 +282,7 @@ def oracle_from_minimizers(terms: Sequence[tuple[Sequence[int], Callable[..., fl
     for meet/join-closedness; a violation is reported as the input not being
     submodular-like, with the offending pair.
     """
-    if isinstance(lattices, Semilattice):
-        if n is None:
-            raise InputError("coordinate count required with a single shared factor")
-        lattices = [lattices] * n
-    lattices = list(lattices)
+    lattices = _factor_list(lattices, n)
     total = math.prod(len(lat) for lat in lattices)
     if total > budget:
         raise BudgetError(f"minimizer enumeration over {total} tuples exceeds budget {budget}")

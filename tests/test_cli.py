@@ -320,6 +320,26 @@ def test_malformed_poset_elements_are_input_errors(tmp_path, capsys, command, da
     assert out == "" and err.startswith("input error:")
 
 
+_S2 = {"elements": ["bot", "a", "b"], "covers": [["bot", "a"], ["bot", "b"]]}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("product-ppip", 5),
+    ("polar", 5),
+    ("product-ppip", {"lattice": _S2, "n": 2, "members": 5}),
+    ("product-ppip", {"lattice": _S2, "n": 2, "members": [1, 2]}),
+    ("product-ppip", {"lattice": _S2, "n": True, "members": [["bot"]]}),
+], ids=["scalar-members-file", "scalar-form-file", "scalar-members", "scalar-member", "bool-n"])
+def test_malformed_objects_are_input_errors(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = "--form" if command == "polar" else "--input"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["mvsp", "dm-decompose"])
 def test_matrix_budget_caps_row_tuples(capsys, command):
     # the fixture has 5^3 = 125 row tuples

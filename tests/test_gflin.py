@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import ppiprep.gflin as gflin_module
 import ppiprep.ppip as ppip_module
 from ppiprep.errors import BudgetError, InputError
 from ppiprep.gflin import (
@@ -32,6 +33,7 @@ from ppiprep.ppip import (
     induced_ppip,
 )
 from ppiprep.product import build_ppip
+from ppiprep.semilattice import Semilattice
 
 from helpers import DATA, make_m3
 
@@ -433,6 +435,28 @@ def test_random_mvsp_matches_brute_force():
         expected = brute_mvsp(A)
         assert set(oracle.members) == expected
         assert {sum(s.dim for s in m) for m in expected} == {optimum}
+
+
+def test_each_small_lattice_built_once(monkeypatch):
+    # GF(2) 2+2+2 x 2+2+2+2: one lattice per side, and one projection per coordinate
+    rng = random.Random(20261019)
+    A = PartitionedMatrix([[rng.randrange(2) for _ in range(8)] for _ in range(6)],
+                          [2, 2, 2], [2, 2, 2, 2], 2)
+    lattices, semilattices = [], []
+    build, init = gflin_module.subspace_lattice, Semilattice.__init__
+    monkeypatch.setattr(gflin_module, "subspace_lattice",
+                        lambda *args, **kw: lattices.append(args) or build(*args, **kw))
+    monkeypatch.setattr(Semilattice, "__init__",
+                        lambda self, *args, **kw: semilattices.append(self) or init(self, *args, **kw))
+    dm_decompose(A)
+    assert (len(lattices), len(semilattices)) == (2, 9)
+
+    _, oracle = mvsp_solve(A)
+    rows, cols = oracle.lattices[:3], oracle.lattices[3:]
+    assert all(lat is rows[0] for lat in rows) and all(lat is cols[0] for lat in cols)
+    semilattices.clear()
+    build_ppip(oracle)
+    assert len(semilattices) == oracle.n
 
 
 def test_vanishes_matches_bilinear_evaluation():

@@ -1,8 +1,9 @@
 """Golden outputs: stdout and emitted JSON of each subcommand on the
 fixtures, the ``check_axioms`` verdict and witness on seeded point-line
 structures, the modularity verdict and witness on seeded orders, and the
-recognition verdict and witness on seeded implicational systems, must
-match the files under ``tests/data/golden/`` byte for byte.
+recognition verdict and witness on seeded implicational systems, and the
+closedness verdict, member order and bases of seeded explicit member sets,
+must match the files under ``tests/data/golden/`` byte for byte.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff before committing it.
@@ -17,10 +18,11 @@ from itertools import combinations
 import pytest
 
 from ppiprep.cli import main
-from ppiprep.errors import NotSemilatticeError
+from ppiprep.errors import InputError, NotSemilatticeError
 from ppiprep.gflin import subspace_lattice
 from ppiprep.horn import ImplicationalSystem, recognize_modular_semilattice
 from ppiprep.ppip import Ppip, check_axioms, induced_ppip
+from ppiprep.product import compute_bases, oracle_from_set
 from ppiprep.semilattice import Semilattice
 
 from helpers import (DATA, make_c2, make_c3, make_m3, make_mk, make_n5_poset_json, make_s2, make_s3,
@@ -275,6 +277,105 @@ def test_recognition_golden_covers_the_reached_conditions():
         "implication-generation"}
 
 
+# -- closedness of explicit member sets -------------------------------------
+
+CLOSEDNESS_FACTORS = {
+    "M3": make_m3,
+    "S3": make_s3,
+    "C3": make_c3,
+    "S2": make_s2,
+    "L(2,2)": lambda: subspace_lattice(2, 2),
+    "L(2,3)r": lambda: subspace_lattice(2, 3, reverse=True),
+}
+
+
+def _closed_within(members, lats, limit: int):
+    """Closure of ``members`` under componentwise meets and existing joins,
+    in canonical order, or None once it passes ``limit`` members."""
+    closed = set(members)
+    todo = list(closed)
+    while todo:
+        m1 = todo.pop()
+        for m2 in list(closed):
+            meet = tuple(l.meet(x, y) for x, y, l in zip(m1, m2, lats))
+            joins = tuple(l.join(x, y) for x, y, l in zip(m1, m2, lats))
+            for new in (meet, joins):
+                if None not in new and new not in closed:
+                    closed.add(new)
+                    todo.append(new)
+        if len(closed) > limit:
+            return None
+    return sorted(closed, key=lambda m: [l.index(x) for x, l in zip(m, lats)])
+
+
+def closedness_cases() -> list[tuple[str, list, list]]:
+    """400 seeded member sets of width 2-4, one shared factor or one drawn
+    per coordinate: every eighth a closed set of at most 40 members, the
+    next three such a set with one member dropped (when it has two), the
+    rest 2-8 random vectors; each listed in shuffled order."""
+    rng = random.Random(20261021)
+    factors = {name: build() for name, build in CLOSEDNESS_FACTORS.items()}
+    names = sorted(factors)
+    cases = []
+    for k in range(400):
+        width = rng.randint(2, 4)
+        if k % 2:
+            picked = [rng.choice(names) for _ in range(width)]
+        else:
+            picked = [rng.choice(names)] * width
+        lats = [factors[name] for name in picked]
+
+        def draw(count):
+            return [tuple(rng.choice(l.elements) for l in lats) for _ in range(count)]
+
+        if k % 8 < 4:
+            members = None
+            while members is None:
+                members = _closed_within(draw(rng.randint(2, 5)), lats, 40)
+            if k % 8 and len(members) > 1:
+                members.pop(rng.randrange(len(members)))
+        else:
+            members = list(dict.fromkeys(draw(rng.randint(2, 8))))
+        rng.shuffle(members)
+        cases.append((f"{'x'.join(picked)}#{k}", lats, members))
+    return cases
+
+
+def _positions(vector, lats) -> list[int]:
+    return [l.index(x) for x, l in zip(vector, lats)]
+
+
+def closedness_verdicts() -> list[dict]:
+    out = []
+    for name, lats, members in closedness_cases():
+        try:
+            oracle = oracle_from_set(members, lats)
+        except InputError as exc:
+            out.append({"case": name, "error": str(exc)})
+            continue
+        bases = [[i, lats[i].index(l), _positions(b.vector, lats)]
+                 for (i, l), b in compute_bases(oracle).items()]
+        out.append({"case": name, "members": [_positions(m, lats) for m in oracle.members],
+                    "bases": bases})
+    return out
+
+
+def _closedness_text() -> str:
+    return json.dumps(closedness_verdicts(), sort_keys=True) + "\n"
+
+
+def test_closedness_verdicts_match_golden():
+    assert _closedness_text() == (GOLDEN / "closedness.json").read_text(encoding="utf-8")
+
+
+def test_closedness_golden_covers_both_messages_and_acceptance():
+    golden = json.loads((GOLDEN / "closedness.json").read_text(encoding="utf-8"))
+    # "explicit set is not (∧,∨)-closed: meet of ..." names the missing operation
+    outcomes = {case["error"].split(": ")[1].split()[0] if "error" in case else "closed"
+                for case in golden}
+    assert outcomes == {"meet", "join", "closed"}
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (_, argv) in sorted(CASES.items()):
@@ -285,6 +386,7 @@ def _regenerate() -> None:
     (GOLDEN / "axioms.json").write_text(_axiom_text(), encoding="utf-8")
     (GOLDEN / "modular.json").write_text(_modular_text(), encoding="utf-8")
     (GOLDEN / "recognition.json").write_text(_recognition_text(), encoding="utf-8")
+    (GOLDEN / "closedness.json").write_text(_closedness_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":

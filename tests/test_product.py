@@ -60,6 +60,34 @@ def test_single_factor_requires_count():
         MembershipOracle(make_s2())
 
 
+@pytest.mark.parametrize("build", [
+    lambda s2: MembershipOracle([s2, s2], n=3),
+    lambda s2: oracle_from_set([("bot", "bot")], [s2, s2], n=3),
+    lambda s2: oracle_from_minimizers([], [s2, s2], n=3),
+], ids=["oracle", "from-set", "from-minimizers"])
+def test_coordinate_count_must_match_factor_list(build):
+    with pytest.raises(InputError, match="coordinate count 3 does not match 2 factors"):
+        build(make_s2())
+
+
+def test_query_matches_member_scan():
+    rng = random.Random(31)
+    pool = [make_s2(), make_s3(), make_m3(), make_c3(), subspace_lattice(2, 2)]
+    checked = 0
+    while checked < 20:
+        lats = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        universe = product_universe(lats)
+        B = close_set(rng.sample(universe, rng.randint(1, min(4, len(universe)))), lats)
+        if len(B) > 60:
+            continue
+        O = oracle_from_set(B, lats)
+        for i, j in itertools.product(range(len(lats)), repeat=2):
+            for l, l2 in itertools.product(lats[i].elements, lats[j].elements):
+                # the reference: scan the members for one taking l at i and l2 at j
+                assert O.query(i, j, l, l2) == any(m[i] == l and m[j] == l2 for m in O.members)
+        checked += 1
+
+
 # -- bases ---------------------------------------------------------------
 
 def test_bases_of_square():
@@ -84,6 +112,20 @@ def test_call_count_bound_on_bases():
     compute_bases(O)
     bound = sum(len(l) for l in O.lattices) ** 2
     assert O.call_counter <= bound
+
+
+def test_call_count_bound_is_checked(monkeypatch):
+    # accounting that overspends is caught, also under python -O
+    O = square_oracle()
+    answer = O._fn
+
+    def overspending(*args):
+        O.call_counter += 100
+        return answer(*args)
+
+    monkeypatch.setattr(O, "_fn", overspending)
+    with pytest.raises(AssertionError, match="oracle call accounting broken"):
+        compute_bases(O)
 
 
 # -- irreducibles and the represented structure --------------------------
